@@ -9,14 +9,18 @@
 /// pick the order by choosing variable indices).  Complement edges and
 /// dynamic reordering are intentionally omitted; the circuits in scope do
 /// not need them and their absence keeps invariants checkable.
+///
+/// Both tables grow with the node count and compare whole keys, so a
+/// manager costs memory in proportion to its nodes (about 20 KiB fresh)
+/// and no two nodes or calls alias at any size.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "soidom/base/contracts.hpp"
+#include "soidom/base/id_index.hpp"
 
 namespace soidom {
 
@@ -71,11 +75,16 @@ class BddManager {
   unsigned num_vars_;
   std::size_t node_limit_;
   std::vector<Node> nodes_;
-  /// Unique table enforcing canonicity: (var, lo, hi) -> node.
-  std::unordered_map<std::uint64_t, Ref> unique_;
-  /// Direct-mapped computed table for ITE.
+  /// Unique table enforcing canonicity: (var, lo, hi) -> node, compared
+  /// against the node's own fields.
+  IdIndex unique_;
+  /// Direct-mapped computed table for ITE, keyed by the full (f, g, h).
+  /// f is never a terminal in a stored call, so the zero key marks a free
+  /// slot.  It starts at 2^10 entries and make_node doubles (and clears)
+  /// it whenever the node count passes its size, up to 2^21 entries, so
+  /// ite must look its slot up again after recursing.
   struct CacheEntry {
-    std::uint64_t key = ~std::uint64_t{0};
+    Key3 call;
     Ref result = 0;
   };
   std::vector<CacheEntry> cache_;

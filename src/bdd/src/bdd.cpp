@@ -1,6 +1,7 @@
 #include "soidom/bdd/bdd.hpp"
 
 #include <cmath>
+#include <unordered_map>
 
 #include "soidom/base/strings.hpp"
 #include "soidom/guard/guard.hpp"
@@ -8,20 +9,14 @@
 namespace soidom {
 namespace {
 
-/// 2^21 direct-mapped ITE cache entries (24 MB); power of two for masking.
-constexpr std::size_t kCacheSize = 1u << 21;
-
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
+/// ITE computed table bounds: 16 KiB to 32 MiB; powers of two for masking.
+constexpr std::size_t kCacheMinEntries = 1u << 10;
+constexpr std::size_t kCacheMaxEntries = 1u << 21;
 
 }  // namespace
 
 BddManager::BddManager(unsigned num_vars, std::size_t node_limit)
-    : num_vars_(num_vars), node_limit_(node_limit), cache_(kCacheSize) {
+    : num_vars_(num_vars), node_limit_(node_limit), cache_(kCacheMinEntries) {
   // Terminals: var index num_vars_ sorts below every real variable.
   nodes_.push_back(Node{num_vars_, kFalse, kFalse});
   nodes_.push_back(Node{num_vars_, kTrue, kTrue});
@@ -29,23 +24,27 @@ BddManager::BddManager(unsigned num_vars, std::size_t node_limit)
 
 BddManager::Ref BddManager::make_node(std::uint32_t v, Ref lo, Ref hi) {
   if (lo == hi) return lo;  // reduction rule
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(v) << 48) ^
-      (static_cast<std::uint64_t>(lo) << 24) ^ static_cast<std::uint64_t>(hi);
-  if (const auto it = unique_.find(key); it != unique_.end()) {
-    return it->second;
-  }
-  if (nodes_.size() >= node_limit_) {
-    throw GuardError(ErrorCode::kBddNodeLimit,
-                     current_stage_or(FlowStage::kExact),
-                     format("BDD node limit (%zu) exceeded", node_limit_));
-  }
-  guard_checkpoint();
-  guard_charge(Resource::kBddNodes);
-  nodes_.push_back(Node{v, lo, hi});
-  const Ref r = static_cast<Ref>(nodes_.size() - 1);
-  unique_.emplace(key, r);
-  return r;
+  const auto key_of = [&](Ref r) {
+    const Node& n = nodes_[r];
+    return Key3{n.var, n.lo, n.hi};
+  };
+  const auto add = [&] {
+    if (nodes_.size() >= node_limit_) {
+      throw GuardError(ErrorCode::kBddNodeLimit,
+                       current_stage_or(FlowStage::kExact),
+                       format("BDD node limit (%zu) exceeded", node_limit_));
+    }
+    guard_checkpoint();
+    guard_charge(Resource::kBddNodes);
+    nodes_.push_back(Node{v, lo, hi});
+    if (nodes_.size() > cache_.size() && cache_.size() < kCacheMaxEntries) {
+      // A memo only: dropping its entries makes ite recompute cofactors
+      // of nodes that already exist, never create different ones.
+      cache_.assign(2 * cache_.size(), CacheEntry{});
+    }
+    return static_cast<Ref>(nodes_.size() - 1);
+  };
+  return unique_.find_or_add(Key3{v, lo, hi}, key_of, add);
 }
 
 BddManager::Ref BddManager::var(unsigned v) {
@@ -79,11 +78,11 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  const std::uint64_t key = mix((static_cast<std::uint64_t>(f) << 42) ^
-                                (static_cast<std::uint64_t>(g) << 21) ^
-                                static_cast<std::uint64_t>(h));
-  CacheEntry& slot = cache_[key & (kCacheSize - 1)];
-  if (slot.key == key) return slot.result;
+  const Key3 call{f, g, h};
+  const std::uint64_t hash = call.hash();
+  if (const CacheEntry& e = cache_[hash & (cache_.size() - 1)]; e.call == call) {
+    return e.result;
+  }
 
   const std::uint32_t v = top_var(f, g, h);
   const Ref hi = ite(cofactor(f, v, true), cofactor(g, v, true),
@@ -91,7 +90,8 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
   const Ref lo = ite(cofactor(f, v, false), cofactor(g, v, false),
                      cofactor(h, v, false));
   const Ref result = make_node(v, lo, hi);
-  slot = CacheEntry{key, result};
+  // The recursion may have grown the table: index it afresh.
+  cache_[hash & (cache_.size() - 1)] = CacheEntry{call, result};
   return result;
 }
 

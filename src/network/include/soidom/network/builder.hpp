@@ -3,8 +3,8 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 
+#include "soidom/base/id_index.hpp"
 #include "soidom/network/network.hpp"
 
 namespace soidom {
@@ -41,7 +41,9 @@ class NetworkBuilder {
 
   Network net_;
   bool strash_;
-  std::unordered_map<std::uint64_t, NodeId> hash_;
+  /// Structural hash: (kind, fanin0, fanin1) -> node id, compared against
+  /// the node's own fields.  Only AND/OR/INV/BUF nodes are entered.
+  IdIndex hash_;
 };
 
 }  // namespace soidom

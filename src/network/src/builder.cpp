@@ -5,11 +5,10 @@
 namespace soidom {
 namespace {
 
-std::uint64_t key_of(NodeKind kind, NodeId a, NodeId b) {
+Key3 key_of(const Node& n) {
   // Commutative ops are canonicalized by the caller.
-  return (static_cast<std::uint64_t>(kind) << 60) ^
-         (static_cast<std::uint64_t>(a.value) << 30) ^
-         static_cast<std::uint64_t>(b.value);
+  return Key3{static_cast<std::uint32_t>(n.kind), n.fanin0.value,
+              n.fanin1.value};
 }
 
 }  // namespace
@@ -26,17 +25,14 @@ NodeId NetworkBuilder::add_pi(std::string name) {
 }
 
 NodeId NetworkBuilder::add_node(NodeKind kind, NodeId a, NodeId b) {
-  if (strash_) {
-    const auto key = key_of(kind, a, b);
-    if (const auto it = hash_.find(key); it != hash_.end()) return it->second;
-    const NodeId id{static_cast<std::uint32_t>(net_.nodes_.size())};
-    net_.nodes_.push_back(Node{kind, a, b});
-    hash_.emplace(key, id);
-    return id;
-  }
-  const NodeId id{static_cast<std::uint32_t>(net_.nodes_.size())};
-  net_.nodes_.push_back(Node{kind, a, b});
-  return id;
+  const Node node{kind, a, b};
+  const auto add = [&] {
+    net_.nodes_.push_back(node);
+    return static_cast<std::uint32_t>(net_.nodes_.size() - 1);
+  };
+  if (!strash_) return NodeId{add()};
+  const auto stored = [&](std::uint32_t id) { return key_of(net_.nodes_[id]); };
+  return NodeId{hash_.find_or_add(key_of(node), stored, add)};
 }
 
 NodeId NetworkBuilder::add_and(NodeId a, NodeId b) {

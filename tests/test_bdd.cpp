@@ -101,6 +101,52 @@ TEST(Bdd, NodeLimitThrows) {
       Error);
 }
 
+/// The computed table compares (f, g, h) in full.  A packed key such as
+/// (f << 42) ^ (g << 21) ^ h gives ite(f, g, 0) and ite(f ^ 1, g ^ 2^21, 0)
+/// the same key once refs pass 2^21, so the second call would return the
+/// first call's result.
+TEST(Bdd, ComputedTableKeysAreExact) {
+  constexpr unsigned kVars = 2100;
+  constexpr BddManager::Ref kHigh = 1u << 21;
+  BddManager m(kVars);
+  std::vector<BddManager::Ref> vars;
+  for (unsigned v = 0; v < kVars; ++v) vars.push_back(m.var(v));
+  // Each AND of two distinct variables adds exactly one node.
+  for (unsigned i = 0; i < kVars && m.node_count() <= kHigh + 16; ++i) {
+    for (unsigned j = i + 1; j < kVars && m.node_count() <= kHigh + 16; ++j) {
+      m.apply_and(vars[i], vars[j]);
+    }
+  }
+  ASSERT_GT(m.node_count(), kHigh + 16);
+
+  const BddManager::Ref f = vars[0];
+  const BddManager::Ref f2 = f ^ 1u;  // vars[1]
+  const BddManager::Ref g = kHigh + 6;
+  const BddManager::Ref g2 = g ^ kHigh;  // vars[4]
+  const BddManager::Ref fg = m.apply_and(f, g);
+  const BddManager::Ref f2g2 = m.apply_and(f2, g2);
+  EXPECT_EQ(fg, m.apply_and(g, f));
+  EXPECT_EQ(f2g2, m.apply_and(g2, f2));
+  EXPECT_NE(fg, f2g2);
+}
+
+/// OR over i of (x_i AND y_i) with every x ordered before every y has
+/// more than 2^12 nodes, so building it crosses several doublings of the
+/// unique and computed tables.  Both folds must meet in one node.
+TEST(Bdd, TablesGrowWithoutLosingCanonicity) {
+  constexpr unsigned kPairs = 12;
+  BddManager m(2 * kPairs);
+  auto term = [&](unsigned i) { return m.apply_and(m.var(i), m.var(kPairs + i)); };
+  BddManager::Ref left = BddManager::kFalse;
+  for (unsigned i = 0; i < kPairs; ++i) left = m.apply_or(left, term(i));
+  BddManager::Ref right = BddManager::kFalse;
+  for (unsigned i = kPairs; i-- > 0;) right = m.apply_or(term(i), right);
+  EXPECT_GT(m.node_count(), 1u << kPairs);
+  EXPECT_EQ(left, right);
+  // Assignments with at least one pair both true: 4^12 - 3^12.
+  EXPECT_DOUBLE_EQ(m.sat_count(left), 16777216.0 - 531441.0);
+}
+
 TEST(BddEquivalence, NetworkSelfEquivalence) {
   const Network net = testing::full_adder_network();
   EXPECT_EQ(equivalent_exact(net, net), std::optional<bool>(true));

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string_view>
 
 #include "soidom/base/contracts.hpp"
+#include "soidom/base/hash.hpp"
 #include "soidom/benchgen/generators.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/sim/sim.hpp"
+#include "soidom/unate/unate.hpp"
 
 namespace soidom {
 namespace {
@@ -214,6 +218,73 @@ TEST(Registry, AllNamesBuildAndAreDeterministic) {
     EXPECT_EQ(a.size(), b.size()) << name;
     Rng rng(1);
     EXPECT_TRUE(equivalent_by_simulation(a, b, 2, rng)) << name;
+  }
+}
+
+/// FNV-1a over (kind, fanin0, fanin1) of every node, in id order.
+std::uint64_t node_array_hash(const Network& net) {
+  std::uint64_t h = fnv1a64("");
+  for (std::uint32_t i = 0; i < net.size(); ++i) {
+    const Node& n = net.node(NodeId{i});
+    const std::uint32_t fields[3] = {static_cast<std::uint32_t>(n.kind),
+                                     n.fanin0.value, n.fanin1.value};
+    char bytes[12];  // little-endian, so the pins hold on any host
+    for (int k = 0; k < 12; ++k) {
+      bytes[k] = static_cast<char>(fields[k / 4] >> (8 * (k % 4)));
+    }
+    h = fnv1a64(std::string_view(bytes, sizeof bytes), h);
+  }
+  return h;
+}
+
+/// Node ids are assigned in creation order, and structural hashing must
+/// return the same ids however it is implemented: every registry network
+/// and its unate conversion keep these exact node arrays.
+TEST(Registry, NodeArraysArePinned) {
+  struct Pin {
+    const char* name;
+    std::uint64_t source;
+    std::uint64_t unate;
+  };
+  const Pin pins[] = {
+      {"cm150", 0x1d53e008ba7cc2b0ull, 0x325892ca0673b3b1ull},
+      {"mux", 0x199d3d5c31d1de25ull, 0x38e9dc9ac0aa37f4ull},
+      {"z4ml", 0x57a3090dc561a935ull, 0xa78c00cdbe8d741bull},
+      {"cordic", 0x1742663304144f31ull, 0xa37c8e287aa0c4aeull},
+      {"f51m", 0xd2b88077f7a214d9ull, 0xc8829a3ed42a9218ull},
+      {"count", 0x7273b186243acfc7ull, 0x72cbfab25409c1f3ull},
+      {"c880", 0xb4682a0f31a8aab2ull, 0xaf48c0df228a1c50ull},
+      {"dalu", 0x5d2cf0099de37fc1ull, 0x0445fd6aaa30001eull},
+      {"c3540", 0x0f998c37c01c3cfeull, 0x48e0ffbd530f6c9full},
+      {"9symml", 0x960588881ad4ae80ull, 0xc9d0bec94eacb4beull},
+      {"t481", 0x118e295200275954ull, 0x6292e9fff4d51737ull},
+      {"c499", 0xfe083a3e7ea5b32dull, 0xed932ee6a09db43dull},
+      {"c1355", 0xfe083a3e7ea5b32dull, 0xed932ee6a09db43dull},
+      {"c1908", 0xff14b280a93d9e3bull, 0x2adffc1aeeb7f6caull},
+      {"c6288", 0xaa30a33a2a37e8b7ull, 0xebc55fa7bedb4cb2ull},
+      {"decod", 0x0e60fc37021616b1ull, 0x4bdcdb6270bed2f0ull},
+      {"c432", 0x728df202019279dcull, 0x5c11f82b18fdb21bull},
+      {"rot", 0x11e6a4b366c6ac1dull, 0x94c37c73c16b2a66ull},
+      {"des", 0x27edb367c4ac9382ull, 0x5643766bd9591b42ull},
+      {"i6", 0x3b2c6d5f446b99c5ull, 0xbfebb0d05ebde1efull},
+      {"frg1", 0x6a30184980266491ull, 0x51997bedadd4a14cull},
+      {"b9", 0x00df6d41211330c9ull, 0x1c2306870e9931ceull},
+      {"c8", 0xeb741e801dda81b8ull, 0xa2214ec4e264cd57ull},
+      {"x1", 0xd9024fc7f352ad50ull, 0x84d59845184dae0full},
+      {"apex7", 0x9cb5994cf18fdbe8ull, 0x8164e6876e61de64ull},
+      {"apex6", 0xf5616b3e4cc1514eull, 0x8662e0fc047e6334ull},
+      {"k2", 0xe2d87b66860c2687ull, 0x5b40faa523cdd6ecull},
+      {"c2670", 0x52cdebd04274a570ull, 0x5fb28c33c6b23c39ull},
+      {"c5315", 0x4fb61f506412b9e2ull, 0xb07ed8026cae0d56ull},
+      {"c7552", 0x6269d27d7ffedeadull, 0xac0b8952c23ba62eull},
+  };
+  const std::vector<std::string> names = benchmark_names();
+  ASSERT_EQ(names.size(), std::size(pins));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(names[i], pins[i].name);
+    const Network net = build_benchmark(names[i]);
+    EXPECT_EQ(node_array_hash(net), pins[i].source) << names[i];
+    EXPECT_EQ(node_array_hash(make_unate(net).net), pins[i].unate) << names[i];
   }
 }
 

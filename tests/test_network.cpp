@@ -22,6 +22,33 @@ TEST(Builder, StructuralHashingMergesDuplicates) {
   EXPECT_EQ(b.add_and(x, y), b.add_and(y, x));  // commutative canonicalization
   EXPECT_EQ(b.add_or(x, y), b.add_or(y, x));
   EXPECT_NE(b.add_and(x, y), b.add_or(x, y));
+
+  // Thousands of distinct nodes grow the hash table several times; each
+  // one must still be found afterwards, under either operand order.
+  std::vector<NodeId> pis{x, y};
+  while (pis.size() < 60) pis.push_back(b.add_pi("p" + std::to_string(pis.size())));
+  struct Made {
+    NodeId lhs, rhs, and_id, or_id, inv_and, inv_or;
+  };
+  std::vector<Made> made;
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    for (std::size_t j = i + 1; j < pis.size(); ++j) {
+      Made m{pis[i], pis[j], b.add_and(pis[i], pis[j]), b.add_or(pis[i], pis[j]),
+             {}, {}};
+      m.inv_and = b.add_inv(m.and_id);
+      m.inv_or = b.add_inv(m.or_id);
+      made.push_back(m);
+    }
+  }
+  const std::size_t size = b.peek().size();
+  ASSERT_GE(size, 5000u + pis.size() + 2);
+  for (const Made& m : made) {
+    EXPECT_EQ(b.add_and(m.rhs, m.lhs), m.and_id);
+    EXPECT_EQ(b.add_or(m.rhs, m.lhs), m.or_id);
+    EXPECT_EQ(b.add_inv(m.and_id), m.inv_and);
+    EXPECT_EQ(b.add_inv(m.or_id), m.inv_or);
+  }
+  EXPECT_EQ(b.peek().size(), size);
 }
 
 TEST(Builder, ConstantSimplifications) {

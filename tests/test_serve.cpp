@@ -812,7 +812,9 @@ TEST(Server, InFlightBackpressureAndSignalDrain) {
   reset_signal_state_for_testing();
   ServeOptions options = fast_serve(temp_path("drain.sock"));
   options.max_in_flight = 1;
-  options.batch.flow.verify_rounds = 32;  // keep the slow job slow
+  // Keep the slow job in flight until the drain cancels it, however fast
+  // the flow gets: verification checks the guard once per round.
+  options.batch.flow.verify_rounds = 1 << 20;
   TestServer ts(options);
 
   // A long-running map occupies the single in-flight slot.
