@@ -8,7 +8,8 @@
 /// assigns each node a capacitance from the charge model and the sizing
 /// pass's device widths (docs/DEVICE_MODEL.md), then enumerates the
 /// gate's electrical states symbolically: every combination of input
-/// values and internal-node precharge states.  Per state it computes the
+/// values and internal-node precharge states, 64 states to a machine
+/// word (one state per bit lane).  Per state it computes the
 /// worst-case dynamic-node voltage droop from
 ///
 ///   * charge sharing — the precharged dynamic node redistributes onto
@@ -159,17 +160,30 @@ std::vector<std::uint32_t> csa_state_signals(const CsaPdnModel& model);
 /// csa_free_nodes()[i].
 std::vector<std::uint16_t> csa_free_nodes(const CsaPdnModel& model);
 
+/// Flood from the dynamic node, 64 independent conduction graphs at once:
+/// lane j of `edge[t]` says whether device t conducts in graph j.  On
+/// return lane j of `member[v]` says whether node v is connected to the
+/// dynamic node in graph j.  When `clamp_bottom`, the bottom terminal is
+/// never entered (member[kCsaBottomNode] stays 0); otherwise it is a
+/// regular node.  Returns the lanes in which the bottom terminal is
+/// reached.  `edge` has one word per model device.
+std::uint64_t csa_flood_words(const CsaPdnModel& model,
+                              const std::vector<std::uint64_t>& edge,
+                              bool clamp_bottom,
+                              std::vector<std::uint64_t>& member);
+
 /// Hooks into the state enumeration, used by the exact proof tier
 /// (src/prove) to restrict the bound to reachable input assignments and
 /// to pick replayable witness states.  Both hooks are optional.
 struct CsaStateCallbacks {
-  /// Called once per enumerated input assignment (before its precharge
-  /// states are expanded); return false to exclude the assignment — and
-  /// every precharge state over it — from the bound.  `inputs[i]` is the
-  /// value of csa_state_signals()[i].
+  /// Called once per enumerated input assignment, in ascending state
+  /// order (before its precharge states are expanded); return false to
+  /// exclude the assignment — and every precharge state over it — from
+  /// the bound.  `inputs[i]` is the value of csa_state_signals()[i].
   std::function<bool(const std::vector<bool>& inputs)> admit;
-  /// Called for every admitted, non-legit-discharge state with its droop
-  /// contribution.  `precharge[i]` is the value of csa_free_nodes()[i].
+  /// Called for every admitted, non-legit-discharge state, in ascending
+  /// state order, with its droop contribution.  `precharge[i]` is the
+  /// value of csa_free_nodes()[i].
   std::function<void(const std::vector<bool>& inputs,
                      const std::vector<bool>& precharge, double droop,
                      double share_cap, int firings, bool flip)>

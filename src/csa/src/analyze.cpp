@@ -24,6 +24,7 @@
 ///    takes max(formula, vdd).
 /// The truncation fallback takes S over ALL junctions and F over ALL
 /// candidate-eligible devices, which dominates every state.
+#include <bit>
 #include <optional>
 
 #include "soidom/base/contracts.hpp"
@@ -36,41 +37,16 @@
 namespace soidom {
 namespace {
 
-/// Flood from the dynamic node over devices where `edge_on[t]`.  When
-/// `clamp_bottom`, the bottom terminal is never entered (the flood stops
-/// there, only recording reachability); otherwise it is a regular node.
-/// Returns whether the bottom terminal was reached.
-bool flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
-           bool clamp_bottom, std::vector<bool>& member,
-           std::vector<std::uint16_t>& stack) {
-  member.assign(static_cast<std::size_t>(model.num_nodes), false);
-  member[kCsaDynamicNode] = true;
-  stack.assign(1, kCsaDynamicNode);
-  bool reached_bottom = false;
-  while (!stack.empty()) {
-    const std::uint16_t node = stack.back();
-    stack.pop_back();
-    for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      if (!edge_on[t]) continue;
-      const CsaDevice& d = model.devices[t];
-      std::uint16_t other;
-      if (d.above == node) {
-        other = d.below;
-      } else if (d.below == node) {
-        other = d.above;
-      } else {
-        continue;
-      }
-      if (other == kCsaBottomNode) {
-        reached_bottom = true;
-        if (clamp_bottom) continue;
-      }
-      if (member[other]) continue;
-      member[other] = true;
-      stack.push_back(other);
-    }
-  }
-  return reached_bottom;
+/// Lane pattern of state bit k < 6 within one 64-state word: lane j of
+/// the word is state 64*w + j, so the low six state bits are the lane's.
+constexpr std::uint64_t kLaneBits[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+/// The lanes of word `w` whose state has bit `k` set.
+std::uint64_t state_bit_word(std::size_t k, std::uint64_t w) {
+  if (k < 6) return kLaneBits[k];
+  return ((w >> (k - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0;
 }
 
 std::string state_witness(long state, std::size_t num_signals,
@@ -114,6 +90,36 @@ std::vector<std::uint16_t> csa_free_nodes(const CsaPdnModel& model) {
     if (!discharged[v]) free_nodes.push_back(static_cast<std::uint16_t>(v));
   }
   return free_nodes;
+}
+
+std::uint64_t csa_flood_words(const CsaPdnModel& model,
+                              const std::vector<std::uint64_t>& edge,
+                              bool clamp_bottom,
+                              std::vector<std::uint64_t>& member) {
+  SOIDOM_ASSERT(edge.size() == model.devices.size());
+  member.assign(static_cast<std::size_t>(model.num_nodes), 0);
+  member[kCsaDynamicNode] = ~std::uint64_t{0};
+  std::uint64_t reached = 0;
+  // Relax every device until no member word grows: the least fixpoint is
+  // per-lane reachability from the dynamic node.
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      const CsaDevice& d = model.devices[t];
+      const std::uint64_t joined =
+          (member[d.above] | member[d.below]) & edge[t];
+      if (clamp_bottom &&
+          (d.above == kCsaBottomNode || d.below == kCsaBottomNode)) {
+        reached |= joined;  // member[kCsaBottomNode] stays 0
+        continue;
+      }
+      if ((joined & ~(member[d.above] & member[d.below])) == 0) continue;
+      member[d.above] |= joined;
+      member[d.below] |= joined;
+      grew = true;
+    }
+  }
+  return clamp_bottom ? reached : member[kCsaBottomNode];
 }
 
 CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
@@ -182,93 +188,142 @@ CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
 
   const long num_states = 1L << bits;
   bound.states = num_states;
-  std::vector<bool> on(model.devices.size());
-  std::vector<bool> cand(model.devices.size());
-  std::vector<bool> edge(model.devices.size());
-  std::vector<bool> pstate(num_nodes);
-  std::vector<bool> member(num_nodes);
-  std::vector<std::uint16_t> stack;
+  // Lanes of a word that are states at all (a 1- to 32-state pulldown
+  // fills only the low lanes of its single word).
+  const std::uint64_t state_lanes =
+      num_states < 64 ? (std::uint64_t{1} << num_states) - 1
+                      : ~std::uint64_t{0};
   // admit() depends only on the input bits (the low bits of s, cycling
-  // fastest), so its verdicts are memoized per input assignment.
-  std::vector<signed char> admit_cache;
-  if (callbacks.admit) admit_cache.assign(1uL << signals.size(), -1);
+  // fastest), so it is asked once per input assignment, in ascending
+  // order, and its verdicts kept as a bitset over input keys.  With fewer
+  // than 64 keys the pattern repeats across the lanes of every word.
+  const std::size_t num_inputs = std::size_t{1} << signals.size();
   std::vector<bool> in_vec(signals.size());
   std::vector<bool> pre_vec(free_nodes.size());
-
-  for (long s = 0; s < num_states; ++s) {
-    if ((s & 255) == 0) guard_checkpoint();
-    for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      on[t] = ((s >> signal_bit[t]) & 1) != 0;
-    }
-    if (callbacks.admit) {
-      const auto in_key =
-          static_cast<std::size_t>(s) & ((1uL << signals.size()) - 1);
-      if (admit_cache[in_key] < 0) {
-        for (std::size_t i = 0; i < signals.size(); ++i) {
-          in_vec[i] = ((s >> i) & 1) != 0;
-        }
-        admit_cache[in_key] = callbacks.admit(in_vec) ? 1 : 0;
+  std::vector<std::uint64_t> admitted;
+  if (callbacks.admit) {
+    admitted.assign((num_inputs + 63) / 64, 0);
+    for (std::size_t key = 0; key < num_inputs; ++key) {
+      for (std::size_t i = 0; i < signals.size(); ++i) {
+        in_vec[i] = ((key >> i) & 1) != 0;
       }
-      if (admit_cache[in_key] == 0) continue;
+      if (callbacks.admit(in_vec)) admitted[key / 64] |= 1ull << (key % 64);
+    }
+    for (std::size_t p = num_inputs; p < 64; p *= 2) {
+      admitted[0] |= admitted[0] << p;
+    }
+  }
+
+  // One pass evaluates states 64*w .. 64*w + 63, lane j being state
+  // 64*w + j.  pre[v] holds the lanes in which node v is precharged high;
+  // it stays 0 for nodes that are not free (dynamic, bottom, discharged),
+  // which is what keeps them out of the candidate and sharing sets.
+  std::vector<std::uint64_t> pre(num_nodes, 0);
+  std::vector<std::uint64_t> on(model.devices.size());
+  std::vector<std::uint64_t> cand(model.devices.size());
+  std::vector<std::uint64_t> edge(model.devices.size());
+  std::vector<std::uint64_t> member;
+  struct Share {
+    std::uint64_t lanes;
+    double cap;
+  };
+  struct Fire {
+    std::uint64_t cand;
+    std::uint64_t fired;
+  };
+  std::vector<Share> shares;
+  std::vector<Fire> fires;
+  const auto num_words = static_cast<std::uint64_t>((num_states + 63) / 64);
+  for (std::uint64_t w = 0; w < num_words; ++w) {
+    if ((w & 3) == 0) guard_checkpoint();
+    std::uint64_t active = state_lanes;
+    if (callbacks.admit) {
+      active &= admitted[static_cast<std::size_t>(w) &
+                         (admitted.size() - 1)];
+    }
+    if (active == 0) continue;
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      on[t] = state_bit_word(signal_bit[t], w);
     }
     // A state where the ON devices alone conduct to ground is a
     // legitimate discharge: the gate is supposed to evaluate low, so
     // there is no droop hazard (the simulator observes 0 there too).
-    if (flood(model, on, /*clamp_bottom=*/false, member, stack)) continue;
+    active &= ~csa_flood_words(model, on, /*clamp_bottom=*/true, member);
+    if (active == 0) continue;
 
-    pstate.assign(num_nodes, false);
-    pstate[kCsaDynamicNode] = true;  // the precharge device is strong
     for (std::size_t i = 0; i < free_nodes.size(); ++i) {
-      pstate[free_nodes[i]] = ((s >> (signals.size() + i)) & 1) != 0;
+      pre[free_nodes[i]] = state_bit_word(signals.size() + i, w);
     }
     // Candidate parasitic devices: OFF, below node an internal junction
     // that is precharged high and not pulled low by a discharge pMOS.
-    int num_cand = 0;
     for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      const CsaDevice& d = model.devices[t];
-      cand[t] = !on[t] && d.below >= 2 && !discharged[d.below] && pstate[d.below];
-      if (cand[t]) ++num_cand;
-      edge[t] = on[t] || cand[t];
+      cand[t] = ~on[t] & pre[model.devices[t].below];
+      edge[t] = on[t] | cand[t];
     }
     // Everything ON or candidate may end up conducting: the connected
     // component of the dynamic node over those edges bounds the charge-
     // sharing extent.  Clamped at the bottom terminal — when a parasitic
     // path reaches ground with the keeper holding, the keeper replenishes
     // what flows past the clamp (matching soisim's observation model).
-    const bool reached = flood(model, edge, /*clamp_bottom=*/true, member, stack);
-    double share = 0.0;
+    const std::uint64_t reached =
+        csa_flood_words(model, edge, /*clamp_bottom=*/true, member);
+    bound.ground_reachable = bound.ground_reachable || (reached & active) != 0;
+    // Lanes in which each junction shares (in the closure, precharged
+    // low), in ascending node order, and lanes in which each candidate
+    // device is one and fires (touches the closure).  Words with no active
+    // lane are dropped: they add nothing to any state below.
+    shares.clear();
     for (std::size_t v = 2; v < num_nodes; ++v) {
-      if (member[v] && !pstate[v]) share += caps[v];
+      const std::uint64_t lanes = member[v] & ~pre[v];
+      if ((lanes & active) != 0) shares.push_back({lanes, caps[v]});
     }
-    int firings = 0;
+    fires.clear();
     for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      if (cand[t] && (member[model.devices[t].above] ||
-                      member[model.devices[t].below])) {
-        ++firings;
-      }
+      if ((cand[t] & active) == 0) continue;
+      const CsaDevice& d = model.devices[t];
+      fires.push_back(
+          {cand[t], cand[t] & (member[d.above] | member[d.below])});
     }
-    // A flip needs a path to ground and enough firing devices anywhere in
-    // the gate to overpower the keeper (soisim counts all firings, not
-    // just those on the dynamic node's component).
-    const bool flip = reached && num_cand >= options.keeper_strength;
-    double droop = vdd * share / (c_dyn + share) + q_pbe * firings / c_dyn;
-    if (flip) droop = std::max(droop, vdd);
-    if (callbacks.visit) {
-      for (std::size_t i = 0; i < signals.size(); ++i) {
-        in_vec[i] = ((s >> i) & 1) != 0;
+
+    // The remaining per-state arithmetic runs lane by lane, in ascending
+    // state order, summing capacitances in ascending node order.
+    for (; active != 0; active &= active - 1) {
+      const int lane = std::countr_zero(active);
+      const long s = static_cast<long>(w * 64) + lane;
+      double share = 0.0;
+      for (const Share& term : shares) {
+        if ((term.lanes >> lane) & 1) share += term.cap;
       }
-      for (std::size_t i = 0; i < free_nodes.size(); ++i) {
-        pre_vec[i] = ((s >> (signals.size() + i)) & 1) != 0;
+      int num_cand = 0;
+      int firings = 0;
+      for (const Fire& f : fires) {
+        num_cand += static_cast<int>((f.cand >> lane) & 1);
+        firings += static_cast<int>((f.fired >> lane) & 1);
       }
-      callbacks.visit(in_vec, pre_vec, droop, share, firings, flip);
-    }
-    bound.ground_reachable = bound.ground_reachable || reached;
-    bound.keeper_overpowered = bound.keeper_overpowered || flip;
-    if (droop > bound.droop) {
-      bound.droop = droop;
-      bound.share_cap = share;
-      bound.firings = firings;
-      bound.worst_state = state_witness(s, signals.size(), free_nodes.size());
+      // A flip needs a path to ground and enough firing devices anywhere
+      // in the gate to overpower the keeper (soisim counts all firings,
+      // not just those on the dynamic node's component).
+      const bool flip =
+          ((reached >> lane) & 1) != 0 && num_cand >= options.keeper_strength;
+      double droop = vdd * share / (c_dyn + share) + q_pbe * firings / c_dyn;
+      if (flip) droop = std::max(droop, vdd);
+      if (callbacks.visit) {
+        for (std::size_t i = 0; i < signals.size(); ++i) {
+          in_vec[i] = ((s >> i) & 1) != 0;
+        }
+        for (std::size_t i = 0; i < free_nodes.size(); ++i) {
+          pre_vec[i] = ((s >> (signals.size() + i)) & 1) != 0;
+        }
+        callbacks.visit(in_vec, pre_vec, droop, share, firings, flip);
+      }
+      bound.keeper_overpowered = bound.keeper_overpowered || flip;
+      if (droop > bound.droop) {
+        bound.droop = droop;
+        bound.share_cap = share;
+        bound.firings = firings;
+        bound.worst_state =
+            state_witness(s, signals.size(), free_nodes.size());
+      }
     }
   }
   if (bound.worst_state.empty()) bound.worst_state = "none";
@@ -358,8 +413,9 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
       rep.pd1 = bound_one(spec.pdn, spec.discharges, spec.footed, 0);
     }
     if (spec.dual()) {
-      rep.pd2 = bound_one(spec.pdn2, spec.discharges2, spec.footed2,
-                          spec.pdn.leaf_signals().size());
+      rep.pd2 =
+          bound_one(spec.pdn2, spec.discharges2, spec.footed2,
+                    static_cast<std::size_t>(spec.pdn.transistor_count()));
     }
   });
 

@@ -11,7 +11,10 @@
 ///    callback that drops input assignments whose cone conjunction is
 ///    unsatisfiable.  Dropping only unreachable assignments keeps the
 ///    bound a superset of every simulator behavior, so a refined bound
-///    below the threshold is a proof of absence.
+///    below the threshold is a proof of absence.  The conjunctions form a
+///    reach table, one entry per input assignment, built on the first
+///    admit by a single prefix-sharing walk over the signals; witnesses
+///    take their cubes from the same entries.
 ///  * race.static-mix — precharge conduction is restated with PI literals
 ///    over current-cycle variables and stale drivers over previous-cycle
 ///    variables; UNSAT means no two consecutive input vectors open the
@@ -31,7 +34,10 @@
 /// snapshot; race.static-mix through PI literals only).  The prediction
 /// mirrors soisim's settle/observe semantics in closed form and
 /// tests/test_prove.cpp replays every such witness as the
-/// zero-false-confirm oracle.
+/// zero-false-confirm oracle.  A csa prediction depends on the input
+/// assignment alone — the state's precharge bits only have to equal the
+/// first-cycle snapshot — so it is made once per assignment and each
+/// visited state compares one precharge key.
 #include <algorithm>
 #include <optional>
 #include <set>
@@ -285,68 +291,52 @@ ProofRecord refine_pbe_protection(const DominoNetlist& netlist,
 // csa.*: reachability-restricted re-enumeration with replay prediction.
 // ---------------------------------------------------------------------------
 
-/// Flood from the dynamic node over `edge_on` devices (mirror of the CSA
-/// enumeration's flood, used for the closed-form replay prediction).
-bool csa_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
-               bool clamp_bottom, std::vector<bool>& member) {
-  member.assign(static_cast<std::size_t>(model.num_nodes), false);
-  member[kCsaDynamicNode] = true;
-  std::vector<std::uint16_t> stack{kCsaDynamicNode};
-  bool reached_bottom = false;
-  while (!stack.empty()) {
-    const std::uint16_t node = stack.back();
-    stack.pop_back();
-    for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      if (!edge_on[t]) continue;
-      const CsaDevice& d = model.devices[t];
-      std::uint16_t other;
-      if (d.above == node) {
-        other = d.below;
-      } else if (d.below == node) {
-        other = d.above;
-      } else {
-        continue;
-      }
-      if (other == kCsaBottomNode) {
-        reached_bottom = true;
-        if (clamp_bottom) continue;
-      }
-      if (member[other]) continue;
-      member[other] = true;
-      stack.push_back(other);
-    }
+/// `bits` as an integer key, bits[0] least significant: input keys over
+/// csa_state_signals(), precharge keys over csa_free_nodes().
+std::uint64_t bits_key(const std::vector<bool>& bits) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) key |= std::uint64_t{1} << i;
   }
-  return reached_bottom;
+  return key;
 }
 
-/// Closed-form prediction of what SoiSimulator observes on a single step
-/// from reset under a PI cube consistent with the enumerated state (see
-/// file comment).  Returns the predicted DroopProbe observation, or
-/// nullopt when the state's precharge snapshot is not what the first
-/// cycle produces (the state is reachable, just not in one step).
-std::optional<double> predict_replay(const CsaPdnModel& model,
-                                     const std::vector<double>& caps,
-                                     const std::vector<std::uint32_t>& signals,
-                                     const std::vector<std::uint16_t>& free_nodes,
-                                     const DominoNetlist& netlist,
-                                     const std::vector<bool>& inputs,
-                                     const std::vector<bool>& precharge) {
+/// Closed-form prediction of what a single SoiSimulator::step from reset
+/// does to the pulldown under one input assignment (see file comment).
+struct ReplayPrediction {
+  /// Precharge key the first cycle leaves on the free nodes: only states
+  /// with exactly this snapshot are single-step replayable.
+  std::uint64_t snapshot = 0;
+  /// The DroopProbe observation as a fraction of vdd; nullopt when the
+  /// observed component has no capacitance.
+  std::optional<double> share;
+};
+
+/// The replay prediction for `inputs` (one value per csa_state_signals()
+/// entry).  Floods use lane 0 of csa_flood_words: a device conducts with
+/// an all-ones word.
+ReplayPrediction predict_replay(const CsaPdnModel& model,
+                                const std::vector<double>& caps,
+                                const std::vector<std::uint32_t>& signals,
+                                const std::vector<std::uint16_t>& free_nodes,
+                                const DominoNetlist& netlist,
+                                const std::vector<bool>& inputs) {
   const auto num_nodes = static_cast<std::size_t>(model.num_nodes);
-  const auto bit_of = [&](std::uint32_t sig) {
-    const auto it = std::lower_bound(signals.begin(), signals.end(), sig);
-    SOIDOM_ASSERT(it != signals.end() && *it == sig);
-    return inputs[static_cast<std::size_t>(it - signals.begin())];
-  };
   // Precharge conduction: only PI-literal devices whose literal is true
   // under the cube conduct (gate outputs are precharge low from reset).
-  std::vector<bool> lit_on(model.devices.size(), false);
+  std::vector<std::uint64_t> on(model.devices.size(), 0);
+  std::vector<std::uint64_t> lit_on(model.devices.size(), 0);
   for (std::size_t t = 0; t < model.devices.size(); ++t) {
-    lit_on[t] = netlist.is_input_signal(model.devices[t].signal) &&
-                bit_of(model.devices[t].signal);
+    const std::uint32_t sig = model.devices[t].signal;
+    const auto it = std::lower_bound(signals.begin(), signals.end(), sig);
+    SOIDOM_ASSERT(it != signals.end() && *it == sig);
+    if (!inputs[static_cast<std::size_t>(it - signals.begin())]) continue;
+    on[t] = ~std::uint64_t{0};
+    if (netlist.is_input_signal(sig)) lit_on[t] = on[t];
   }
-  std::vector<bool> component;
+  std::vector<std::uint64_t> component;
   const bool touches_bottom =
-      csa_flood(model, lit_on, /*clamp_bottom=*/false, component);
+      csa_flood_words(model, lit_on, /*clamp_bottom=*/false, component) != 0;
   std::vector<bool> pre_high(num_nodes, false);
   if (!model.footed && touches_bottom) {
     // Footless gates are clock-grounded during precharge: the component
@@ -354,32 +344,30 @@ std::optional<double> predict_replay(const CsaPdnModel& model,
   } else {
     // The dynamic node's component settles high behind the precharge
     // device; floaters keep their (reset-low) charge.
-    pre_high = component;
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      pre_high[v] = component[v] != 0;
+    }
   }
   pre_high[kCsaDynamicNode] = true;
   for (const std::uint16_t n : model.discharged) pre_high[n] = false;
+  ReplayPrediction prediction;
   for (std::size_t i = 0; i < free_nodes.size(); ++i) {
-    if (pre_high[free_nodes[i]] != precharge[i]) return std::nullopt;
+    if (pre_high[free_nodes[i]]) prediction.snapshot |= std::uint64_t{1} << i;
   }
   // Evaluate-phase observation: the dynamic node's component over the
   // actually-ON devices (first cycle: zero parasitic firings, bodies are
   // still cold), clamped at the bottom terminal.
-  std::vector<bool> on(model.devices.size(), false);
-  for (std::size_t t = 0; t < model.devices.size(); ++t) {
-    on[t] = bit_of(model.devices[t].signal);
-  }
-  std::vector<bool> member;
-  csa_flood(model, on, /*clamp_bottom=*/true, member);
+  std::vector<std::uint64_t> member;
+  csa_flood_words(model, on, /*clamp_bottom=*/true, member);
   double shared_low = 0.0;
   double total = 0.0;
   for (std::size_t v = 0; v < num_nodes; ++v) {
-    if (!member[v]) continue;
+    if (member[v] == 0) continue;
     total += caps[v];
     if (!pre_high[v]) shared_low += caps[v];
   }
-  if (total <= 0.0) return std::nullopt;
-  const double vdd_share = shared_low / total;
-  return vdd_share;  // multiplied by vdd by the caller
+  if (total > 0.0) prediction.share = shared_low / total;
+  return prediction;
 }
 
 ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
@@ -395,7 +383,9 @@ ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
   std::vector<double> widths(model.devices.size(), 1.0);
   if (sizing != nullptr) {
     const std::size_t offset =
-        location.pdn == 2 ? gate.pdn.leaf_signals().size() : 0;
+        location.pdn == 2
+            ? static_cast<std::size_t>(gate.pdn.transistor_count())
+            : 0;
     const std::vector<double>& all = sizing->gates[g].pulldown_widths;
     SOIDOM_ASSERT(offset + widths.size() <= all.size());
     std::copy_n(all.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -413,13 +403,30 @@ ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
   for (std::size_t i = 0; i < signals.size(); ++i) {
     fns[i] = cone.fn(signals[i]);
   }
-  const auto reach_of = [&](const std::vector<bool>& inputs) {
-    auto acc = BddManager::kTrue;
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-      acc = manager.apply_and(acc,
-                              inputs[i] ? fns[i] : manager.negate(fns[i]));
+  // reach[key]: the cone conjunction of input assignment `key` (bit i is
+  // the value of signals[i]), built on the first admit() so a truncated
+  // enumeration builds none of it.  One depth-first walk in signal order
+  // shares every prefix conjunction, and a prefix that is already kFalse
+  // leaves all its completions kFalse.  predictions[key] is the
+  // single-step replay prediction, made on the assignment's first visit.
+  std::vector<BddManager::Ref> reach;
+  std::vector<std::optional<ReplayPrediction>> predictions;
+  const auto walk = [&](const auto& self, std::size_t i, BddManager::Ref acc,
+                        std::size_t key) -> void {
+    if (acc == BddManager::kFalse) return;
+    if (i == fns.size()) {
+      reach[key] = acc;
+      return;
     }
-    return acc;
+    const BddManager::Ref low =
+        manager.apply_and(acc, manager.negate(fns[i]));
+    // acc splits into low and acc & f_i: when low is all or none of acc,
+    // the other half follows without another AND.
+    const BddManager::Ref high = low == BddManager::kFalse ? acc
+                                 : low == acc ? BddManager::kFalse
+                                              : manager.apply_and(acc, fns[i]);
+    self(self, i + 1, low, key);
+    self(self, i + 1, high, key | (std::size_t{1} << i));
   };
 
   // Tracked across the enumeration: the refined worst state, the first
@@ -438,25 +445,31 @@ ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
 
   CsaStateCallbacks callbacks;
   callbacks.admit = [&](const std::vector<bool>& inputs) {
-    return reach_of(inputs) != BddManager::kFalse;
+    if (reach.empty()) {
+      reach.assign(std::size_t{1} << fns.size(), BddManager::kFalse);
+      predictions.resize(reach.size());
+      walk(walk, 0, BddManager::kTrue, 0);
+    }
+    return reach[bits_key(inputs)] != BddManager::kFalse;
   };
   callbacks.visit = [&](const std::vector<bool>& inputs,
                         const std::vector<bool>& precharge, double droop,
                         double /*share_cap*/, int /*firings*/, bool flip) {
-    if (droop > worst.droop || !worst.have) {
-      if (droop > worst.droop) {
-        worst = Tracked{true, inputs, precharge, droop, 0.0};
-      } else if (!worst.have) {
-        worst = Tracked{true, inputs, precharge, droop, 0.0};
-      }
+    if (!worst.have || droop > worst.droop) {
+      worst = Tracked{true, inputs, precharge, droop, 0.0};
     }
     if (flip && !flip_state.have) {
       flip_state = Tracked{true, inputs, precharge, droop, 0.0};
     }
-    const std::optional<double> share = predict_replay(
-        model, caps, signals, free_nodes, netlist, inputs, precharge);
-    if (share.has_value()) {
-      const double predicted = vdd * *share;
+    std::optional<ReplayPrediction>& prediction =
+        predictions[bits_key(inputs)];
+    if (!prediction.has_value()) {
+      prediction = predict_replay(model, caps, signals, free_nodes, netlist,
+                                  inputs);
+    }
+    if (prediction->share.has_value() &&
+        bits_key(precharge) == prediction->snapshot) {
+      const double predicted = vdd * *prediction->share;
       if (predicted > replay.predicted) {
         replay = Tracked{true, inputs, precharge, droop, predicted};
       }
@@ -474,11 +487,14 @@ ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
                csa_options.max_states));
   }
 
+  const auto cube_of = [&](const Tracked& t) {
+    const auto cube = manager.any_sat(reach[bits_key(t.inputs)]);
+    SOIDOM_ASSERT(cube.has_value());
+    return *cube;
+  };
   const auto witness_of = [&](const Tracked& t, bool replayable,
                               double predicted) {
-    const auto cube = manager.any_sat(reach_of(t.inputs));
-    SOIDOM_ASSERT(cube.has_value());
-    ProofWitness w = make_witness(*cube, cone.support(), pi_names,
+    ProofWitness w = make_witness(cube_of(t), cone.support(), pi_names,
                                   csa_state_text(t.inputs, t.precharge));
     w.replayable = replayable;
     w.predicted_droop = predicted;
@@ -500,8 +516,7 @@ ProofRecord refine_csa(const DominoNetlist& netlist, const std::string& rule,
         format("keeper-overpowering state %s is reachable under %s (body "
                "charging needs multiple cycles; not single-step replayable)",
                csa_state_text(flip_state.inputs, flip_state.precharge).c_str(),
-               assignment_text(*manager.any_sat(reach_of(flip_state.inputs)),
-                               cone.support(), pi_names)
+               assignment_text(cube_of(flip_state), cone.support(), pi_names)
                    .c_str()));
     r.witness = witness_of(flip_state, /*replayable=*/false, 0.0);
     return r;

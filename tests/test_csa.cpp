@@ -67,7 +67,8 @@ std::vector<DroopProbe> make_probes(const DominoNetlist& nl,
     probe.caps = caps_of(spec.pdn, spec.discharges, spec.footed, 0);
     if (spec.dual()) {
       probe.caps2 = caps_of(spec.pdn2, spec.discharges2, spec.footed2,
-                            spec.pdn.leaf_signals().size());
+                            static_cast<std::size_t>(
+                                spec.pdn.transistor_count()));
     }
   }
   return probes;
@@ -215,6 +216,328 @@ TEST(CsaBound, TruncationFallbackIsFlaggedAndCoarse) {
 }
 
 // ---------------------------------------------------------------------------
+// The 64-lane enumeration against a one-state-at-a-time reference.
+
+/// Scalar flood from the dynamic node over devices where `edge_on[t]`.
+bool reference_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
+                     bool clamp_bottom, std::vector<bool>& member) {
+  member.assign(static_cast<std::size_t>(model.num_nodes), false);
+  member[kCsaDynamicNode] = true;
+  std::vector<std::uint16_t> stack{kCsaDynamicNode};
+  bool reached_bottom = false;
+  while (!stack.empty()) {
+    const std::uint16_t node = stack.back();
+    stack.pop_back();
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      if (!edge_on[t]) continue;
+      const CsaDevice& d = model.devices[t];
+      std::uint16_t other;
+      if (d.above == node) {
+        other = d.below;
+      } else if (d.below == node) {
+        other = d.above;
+      } else {
+        continue;
+      }
+      if (other == kCsaBottomNode) {
+        reached_bottom = true;
+        if (clamp_bottom) continue;
+      }
+      if (member[other]) continue;
+      member[other] = true;
+      stack.push_back(other);
+    }
+  }
+  return reached_bottom;
+}
+
+std::string reference_witness(long state, std::size_t num_signals,
+                              std::size_t num_free) {
+  if (num_signals + num_free == 0) return "trivial";
+  std::string out;
+  if (num_signals > 0) {
+    out += "in=";
+    for (std::size_t i = 0; i < num_signals; ++i) {
+      out += static_cast<char>('0' + ((state >> i) & 1));
+    }
+  }
+  if (num_free > 0) {
+    if (!out.empty()) out += ' ';
+    out += "pre=";
+    for (std::size_t i = 0; i < num_free; ++i) {
+      out += static_cast<char>('0' + ((state >> (num_signals + i)) & 1));
+    }
+  }
+  return out;
+}
+
+/// bound_pulldown's enumeration one state per pass, with two scalar floods
+/// per state: the reference the word kernel must reproduce bit for bit.
+/// Callers keep the state count within max_states (no fallback here).
+CsaPulldownBound reference_bound(const CsaPdnModel& model,
+                                 const std::vector<double>& caps,
+                                 const CsaOptions& options,
+                                 const CsaStateCallbacks& callbacks) {
+  const double vdd = options.charge.vdd;
+  const double q_pbe = options.charge.q_pbe;
+  const double c_dyn = caps[kCsaDynamicNode];
+  const auto num_nodes = static_cast<std::size_t>(model.num_nodes);
+  std::vector<bool> discharged(num_nodes, false);
+  for (const std::uint16_t n : model.discharged) discharged[n] = true;
+  const std::vector<std::uint32_t> signals = csa_state_signals(model);
+  std::vector<std::size_t> signal_bit(model.devices.size());
+  for (std::size_t t = 0; t < model.devices.size(); ++t) {
+    signal_bit[t] = static_cast<std::size_t>(
+        std::lower_bound(signals.begin(), signals.end(),
+                         model.devices[t].signal) -
+        signals.begin());
+  }
+  const std::vector<std::uint16_t> free_nodes = csa_free_nodes(model);
+  const std::size_t bits = signals.size() + free_nodes.size();
+
+  CsaPulldownBound bound;
+  const long num_states = 1L << bits;
+  bound.states = num_states;
+  std::vector<bool> on(model.devices.size());
+  std::vector<bool> cand(model.devices.size());
+  std::vector<bool> edge(model.devices.size());
+  std::vector<bool> pstate(num_nodes);
+  std::vector<bool> member(num_nodes);
+  std::vector<signed char> admit_cache;
+  if (callbacks.admit) admit_cache.assign(1uL << signals.size(), -1);
+  std::vector<bool> in_vec(signals.size());
+  std::vector<bool> pre_vec(free_nodes.size());
+  for (long s = 0; s < num_states; ++s) {
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      on[t] = ((s >> signal_bit[t]) & 1) != 0;
+    }
+    if (callbacks.admit) {
+      const auto in_key =
+          static_cast<std::size_t>(s) & ((1uL << signals.size()) - 1);
+      if (admit_cache[in_key] < 0) {
+        for (std::size_t i = 0; i < signals.size(); ++i) {
+          in_vec[i] = ((s >> i) & 1) != 0;
+        }
+        admit_cache[in_key] = callbacks.admit(in_vec) ? 1 : 0;
+      }
+      if (admit_cache[in_key] == 0) continue;
+    }
+    if (reference_flood(model, on, /*clamp_bottom=*/false, member)) continue;
+    pstate.assign(num_nodes, false);
+    pstate[kCsaDynamicNode] = true;
+    for (std::size_t i = 0; i < free_nodes.size(); ++i) {
+      pstate[free_nodes[i]] = ((s >> (signals.size() + i)) & 1) != 0;
+    }
+    int num_cand = 0;
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      const CsaDevice& d = model.devices[t];
+      cand[t] =
+          !on[t] && d.below >= 2 && !discharged[d.below] && pstate[d.below];
+      if (cand[t]) ++num_cand;
+      edge[t] = on[t] || cand[t];
+    }
+    const bool reached =
+        reference_flood(model, edge, /*clamp_bottom=*/true, member);
+    double share = 0.0;
+    for (std::size_t v = 2; v < num_nodes; ++v) {
+      if (member[v] && !pstate[v]) share += caps[v];
+    }
+    int firings = 0;
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      if (cand[t] && (member[model.devices[t].above] ||
+                      member[model.devices[t].below])) {
+        ++firings;
+      }
+    }
+    const bool flip = reached && num_cand >= options.keeper_strength;
+    double droop = vdd * share / (c_dyn + share) + q_pbe * firings / c_dyn;
+    if (flip) droop = std::max(droop, vdd);
+    if (callbacks.visit) {
+      for (std::size_t i = 0; i < signals.size(); ++i) {
+        in_vec[i] = ((s >> i) & 1) != 0;
+      }
+      for (std::size_t i = 0; i < free_nodes.size(); ++i) {
+        pre_vec[i] = ((s >> (signals.size() + i)) & 1) != 0;
+      }
+      callbacks.visit(in_vec, pre_vec, droop, share, firings, flip);
+    }
+    bound.ground_reachable = bound.ground_reachable || reached;
+    bound.keeper_overpowered = bound.keeper_overpowered || flip;
+    if (droop > bound.droop) {
+      bound.droop = droop;
+      bound.share_cap = share;
+      bound.firings = firings;
+      bound.worst_state =
+          reference_witness(s, signals.size(), free_nodes.size());
+    }
+  }
+  if (bound.worst_state.empty()) bound.worst_state = "none";
+  return bound;
+}
+
+/// Every hook call of one enumeration, in call order.
+struct HookLog {
+  struct Visit {
+    std::vector<bool> inputs;
+    std::vector<bool> precharge;
+    double droop = 0.0;
+    double share_cap = 0.0;
+    int firings = 0;
+    bool flip = false;
+    bool operator==(const Visit&) const = default;
+  };
+  std::vector<std::vector<bool>> admits;
+  std::vector<Visit> visits;
+};
+
+/// Hooks that reject a seeded subset of input assignments and log calls.
+CsaStateCallbacks logging_hooks(HookLog& log, std::uint64_t seed) {
+  CsaStateCallbacks hooks;
+  hooks.admit = [&log, seed](const std::vector<bool>& inputs) {
+    log.admits.push_back(inputs);
+    std::uint64_t key = seed;
+    for (const bool b : inputs) key = key * 3 + (b ? 1 : 0);
+    return Rng(key).chance(3, 4);
+  };
+  hooks.visit = [&log](const std::vector<bool>& inputs,
+                       const std::vector<bool>& precharge, double droop,
+                       double share_cap, int firings, bool flip) {
+    log.visits.push_back({inputs, precharge, droop, share_cap, firings, flip});
+  };
+  return hooks;
+}
+
+/// The kernel and the reference agree on every bound field and on every
+/// hook call, for keeper strengths 1-3, with and without hooks.
+void expect_word_matches_reference(const CsaPdnModel& model,
+                                   const std::vector<double>& caps,
+                                   std::uint64_t seed) {
+  for (int keeper = 1; keeper <= 3; ++keeper) {
+    CsaOptions opts;
+    opts.keeper_strength = keeper;
+    for (const bool hooked : {false, true}) {
+      HookLog word_log;
+      HookLog ref_log;
+      const CsaStateCallbacks word_hooks =
+          hooked ? logging_hooks(word_log, seed) : CsaStateCallbacks{};
+      const CsaStateCallbacks ref_hooks =
+          hooked ? logging_hooks(ref_log, seed) : CsaStateCallbacks{};
+      const CsaPulldownBound got =
+          bound_pulldown(model, caps, opts, word_hooks);
+      const CsaPulldownBound want =
+          reference_bound(model, caps, opts, ref_hooks);
+      const std::string tag = "seed " + std::to_string(seed) + " keeper " +
+                              std::to_string(keeper) +
+                              (hooked ? " hooked" : " plain");
+      EXPECT_EQ(got.droop, want.droop) << tag;
+      EXPECT_EQ(got.share_cap, want.share_cap) << tag;
+      EXPECT_EQ(got.firings, want.firings) << tag;
+      EXPECT_EQ(got.ground_reachable, want.ground_reachable) << tag;
+      EXPECT_EQ(got.keeper_overpowered, want.keeper_overpowered) << tag;
+      EXPECT_EQ(got.truncated, want.truncated) << tag;
+      EXPECT_EQ(got.states, want.states) << tag;
+      EXPECT_EQ(got.worst_state, want.worst_state) << tag;
+      EXPECT_EQ(word_log.admits, ref_log.admits) << tag;
+      EXPECT_TRUE(word_log.visits == ref_log.visits) << tag;
+    }
+  }
+}
+
+/// A random series/parallel pulldown of depth <= `depth` drawing leaf
+/// signals from [0, num_signals).
+PdnIndex random_pdn(Pdn& pdn, Rng& rng, int depth, int& leaves_left,
+                    std::uint32_t num_signals) {
+  if (depth == 0 || leaves_left <= 1 || rng.chance(1, 3)) {
+    --leaves_left;
+    return pdn.add_leaf(
+        static_cast<std::uint32_t>(rng.next_below(num_signals)));
+  }
+  std::vector<PdnIndex> children;
+  const auto arity = 2 + rng.next_below(3);
+  for (std::uint64_t k = 0; k < arity && leaves_left > 0; ++k) {
+    children.push_back(
+        random_pdn(pdn, rng, depth - 1, leaves_left, num_signals));
+  }
+  return rng.chance(1, 2) ? pdn.add_series(std::move(children))
+                          : pdn.add_parallel(std::move(children));
+}
+
+TEST(CsaBound, WordEnumerationMatchesPerStateReference) {
+  // Random pulldowns: depth <= 4, up to 12 leaves, repeated signals,
+  // random discharge subsets and widths.
+  int compared = 0;
+  for (std::uint64_t seed = 1; compared < 500; ++seed) {
+    ASSERT_LT(seed, 5000u) << "too few pulldowns within max_states";
+    Rng rng(seed);
+    Pdn pdn;
+    int leaves_left = static_cast<int>(rng.next_in(1, 12));
+    pdn.set_root(random_pdn(pdn, rng, 4, leaves_left,
+                            static_cast<std::uint32_t>(rng.next_in(1, 8))));
+    std::vector<DischargePoint> discharges;
+    for (const DischargePoint& p : canonical_junctions(pdn)) {
+      if (rng.chance(1, 3)) discharges.push_back(p);
+    }
+    const CsaPdnModel model =
+        build_csa_model(pdn, discharges, rng.chance(1, 2));
+    const std::size_t bits =
+        csa_state_signals(model).size() + csa_free_nodes(model).size();
+    if ((1L << bits) > CsaOptions{}.max_states) continue;
+    std::vector<double> widths(model.devices.size());
+    for (double& w : widths) w = 0.5 + 3.0 * rng.next_double();
+    expect_word_matches_reference(
+        model, csa_node_caps(model, widths, ChargeModel{}), seed);
+    ++compared;
+  }
+
+  const auto unit_caps = [](const CsaPdnModel& model) {
+    return csa_node_caps(model, std::vector<double>(model.devices.size(), 1.0),
+                         ChargeModel{});
+  };
+  // One state: no devices, no state bits.
+  const CsaPdnModel empty;
+  expect_word_matches_reference(empty, unit_caps(empty), 1);
+  {
+    // Exactly 64 states: (a | b) - c - d, four signals and two junctions.
+    Pdn pdn;
+    pdn.set_root(pdn.add_series({pdn.add_parallel({pdn.add_leaf(0),
+                                                   pdn.add_leaf(1)}),
+                                 pdn.add_leaf(2), pdn.add_leaf(3)}));
+    const CsaPdnModel model = build_csa_model(pdn, {}, true);
+    ASSERT_EQ(bound_pulldown(model, unit_caps(model), CsaOptions{}).states,
+              64);
+    expect_word_matches_reference(model, unit_caps(model), 2);
+  }
+  for (std::uint32_t length = 4; length <= 8; ++length) {
+    // 128 to 4096 states: series chains over at most five signals.
+    Pdn pdn;
+    std::vector<PdnIndex> chain;
+    for (std::uint32_t k = 0; k < length; ++k) {
+      chain.push_back(pdn.add_leaf(k % 5));
+    }
+    pdn.set_root(pdn.add_series(std::move(chain)));
+    const CsaPdnModel model = build_csa_model(pdn, {}, length % 2 == 0);
+    expect_word_matches_reference(model, unit_caps(model), length);
+  }
+  {
+    // More nodes than lanes: a 70-junction chain over four signals with
+    // all but four junctions discharged.
+    Pdn pdn;
+    std::vector<PdnIndex> chain;
+    for (std::uint32_t k = 0; k < 71; ++k) chain.push_back(pdn.add_leaf(k % 4));
+    pdn.set_root(pdn.add_series(std::move(chain)));
+    std::vector<DischargePoint> discharges = canonical_junctions(pdn);
+    ASSERT_EQ(discharges.size(), 70u);
+    for (const std::size_t keep : {69u, 50u, 30u, 10u}) {
+      discharges.erase(discharges.begin() + static_cast<std::ptrdiff_t>(keep));
+    }
+    const CsaPdnModel model = build_csa_model(pdn, discharges, true);
+    ASSERT_GT(model.num_nodes, 64);
+    ASSERT_EQ(csa_free_nodes(model).size(), 4u);
+    expect_word_matches_reference(model, unit_caps(model), 70);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rules, findings, waivers.
 
 TEST(CsaRules, UnprotectedGateRaisesPbeDischargeError) {
@@ -344,7 +667,7 @@ TEST(CsaFlow, BadOptionsRejectedUpFront) {
 // Determinism across thread counts.
 
 TEST(CsaDeterminism, ReportAndSarifByteIdenticalAcrossThreads) {
-  for (const char* name : {"cm150", "9symml"}) {
+  for (const char* name : {"cm150", "9symml", "c1908"}) {
     FlowOptions flow;
     flow.verify_rounds = 0;
     const FlowResult mapped = run_flow(build_benchmark(name), flow);

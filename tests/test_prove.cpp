@@ -13,6 +13,7 @@
 
 #include "helpers.hpp"
 #include "soidom/base/fileio.hpp"
+#include "soidom/base/hash.hpp"
 #include "soidom/batch/runner.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
@@ -87,7 +88,8 @@ std::vector<DroopProbe> make_droop_probes(const DominoNetlist& nl,
     probe.caps = caps_of(spec.pdn, spec.discharges, spec.footed, 0);
     if (spec.dual()) {
       probe.caps2 = caps_of(spec.pdn2, spec.discharges2, spec.footed2,
-                            spec.pdn.leaf_signals().size());
+                            static_cast<std::size_t>(
+                                spec.pdn.transistor_count()));
     }
   }
   return probes;
@@ -163,6 +165,56 @@ TEST(ProveFlow, ConfirmedFindingsGateTheFlow) {
   ASSERT_GT(outcome.result->prove->confirmed, 0);
   ASSERT_TRUE(outcome.diagnostic.has_value());
   EXPECT_EQ(outcome.diagnostic->code, ErrorCode::kVerificationFailed);
+}
+
+TEST(ProveFlow, SignoffReportsArePinned) {
+  // perfbench's signoff circuits under its signoff options.  The verdict
+  // reference pins verdicts only; these FNV-1a digests also pin droops,
+  // worst states, witnesses, predicted droops and certificates.
+  struct Pin {
+    const char* name;
+    std::uint64_t csa_json;
+    std::uint64_t csa_sarif;
+    std::uint64_t prove_json;
+  };
+  const Pin pins[] = {
+      {"cm150", 0xf6deb5d5857069ddull, 0x2403f293d65fbad0ull,
+       0xa8d21b5880133dd4ull},
+      {"mux", 0x9ddb01b36d6c0f6full, 0xc15deffcb53657dfull,
+       0xcc4f253fe5a2493full},
+      {"z4ml", 0x3c7e086b446fa0e9ull, 0x1252750c926bec84ull,
+       0xc1a8f81898b30d72ull},
+      {"frg1", 0x89175f38fe8df6c1ull, 0x6f90ecd16c39b21bull,
+       0x2169e270eb5696d1ull},
+      {"b9", 0xa13e8a86ffe55b41ull, 0x551c77444b732d54ull,
+       0xb311f9f2041e2024ull},
+      {"c8", 0xd6c3f79a68217144ull, 0xb9289993319c5020ull,
+       0x41127b10ec1ca2b0ull},
+      {"count", 0x1a3dd73c34acddd7ull, 0x9e6883af39a68186ull,
+       0x07450af2a1281e99ull},
+      {"9symml", 0xb6ce48fb1c281fd2ull, 0x0e1fcd0635ef88f9ull,
+       0x7a5726daa03caba7ull},
+      {"f51m", 0x1516180f8812c4faull, 0xa1eb638bd284680bull,
+       0xc624e39ea6448452ull},
+      {"cordic", 0xa9373f0f5b6c5741ull, 0x812030ef421b24acull,
+       0x10858d147ad4f2b4ull},
+      {"apex7", 0x437126ee9d432d1cull, 0x6e158a7b3a8748f4ull,
+       0x61896cc4e327c310ull},
+      {"decod", 0x144b2e0889a0a644ull, 0xc7d9fe4ebf17d013ull,
+       0x7851dabdf0f5a9b3ull},
+      {"x1", 0x94f66d9e266cc106ull, 0x38997d2b706275a8ull,
+       0x51edebfaccbaa876ull},
+  };
+  for (const Pin& pin : pins) {
+    const FlowOutcome outcome =
+        run_flow_guarded(build_benchmark(pin.name), prove_flow(0.05));
+    ASSERT_TRUE(outcome.result.has_value()) << pin.name;
+    const FlowResult& r = *outcome.result;
+    ASSERT_TRUE(r.csa.has_value() && r.prove.has_value()) << pin.name;
+    EXPECT_EQ(fnv1a64(r.csa->report.to_json()), pin.csa_json) << pin.name;
+    EXPECT_EQ(fnv1a64(r.csa->lint.to_sarif("x")), pin.csa_sarif) << pin.name;
+    EXPECT_EQ(fnv1a64(r.prove->to_json()), pin.prove_json) << pin.name;
+  }
 }
 
 TEST(ProveFlow, BadOptionsRejectedByValidate) {
