@@ -1,8 +1,8 @@
 /// Mapping-service cache harness: times the full flow cold (no cache),
 /// warm (content-addressed cone-cache hit), and restarted (fresh cache
 /// warmed from the crash-only spill journal), asserts all three produce
-/// byte-identical netlists, and emits BENCH_serve.json (same shape
-/// family as BENCH_mapper.json; see docs/SERVE.md).
+/// byte-identical netlists, and emits BENCH_serve.json (see
+/// docs/SERVE.md).
 ///
 /// Usage: perf_serve [output.json]   (default BENCH_serve.json)
 #include <algorithm>

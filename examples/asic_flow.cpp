@@ -8,7 +8,7 @@
 ///         -> transistor sizing                     (paper's follow-up step)
 ///         -> SPICE + Verilog export for downstream tooling.
 ///
-/// Build & run:   build/examples/asic_flow [--diag-json] [--threads=N]
+/// Build & run:   build/examples/asic_flow [--diag-json]
 ///                                         [--lint] [--lint-sarif=FILE]
 ///                                         [--csa] [--csa-sarif=FILE]
 ///                                         [--csa-margin=X]
@@ -21,8 +21,6 @@
 ///                                         [--prove-fail-on=SEV]
 ///                                         [--prove-strict] [circuit.blif]
 /// Without a circuit argument a built-in 4-bit comparator BLIF is used.
-/// --threads=N sets the mapper DP thread count (0 = hardware concurrency,
-/// 1 = sequential; the result is bit-identical for every thread count).
 /// --lint prints the full lint report; --lint-sarif=FILE writes it as
 /// SARIF 2.1.0 for CI annotation.  --csa runs the static charge-sharing /
 /// PBE-safety analyzer (docs/CSA.md); --csa-sarif=FILE writes its
@@ -193,7 +191,6 @@ int main(int argc, char** argv) {
   bool want_prove = false;
   ProveOptions prove_options;
   LintSeverity prove_fail_on = LintSeverity::kError;
-  int num_threads = 0;
   bool batch_mode = false;
   std::vector<std::string> batch_circuits;
   BatchOptions batch;
@@ -278,8 +275,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--prove-strict") == 0) {
       want_prove = true;
       prove_options.fail_on_budget = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      int_flag(argv[i] + 10, "--threads", &num_threads);
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch_mode = true;
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -313,7 +308,6 @@ int main(int argc, char** argv) {
     batch.flow.variant = FlowVariant::kSoiDominoMap;
     batch.flow.sequence_aware = true;
     batch.flow.exact_equivalence = true;
-    batch.flow.mapper.num_threads = num_threads;
     batch.flow.csa = want_csa;
     if (csa_margin >= 0.0) batch.flow.csa_options.margin = csa_margin;
     batch.flow.race = want_race;
@@ -356,7 +350,6 @@ int main(int argc, char** argv) {
     options.variant = FlowVariant::kSoiDominoMap;
     options.sequence_aware = true;
     options.exact_equivalence = true;
-    options.mapper.num_threads = num_threads;
     options.csa = want_csa;
     if (csa_margin >= 0.0) options.csa_options.margin = csa_margin;
     options.race = want_race;

@@ -8,9 +8,6 @@
 ///   --objective=area|depth   cost objective (default area)
 ///   --wmax=N --hmax=N        pulldown shape limits (default 5 / 8)
 ///   --k=F                    clock-transistor cost weight (default 1.0)
-///   --threads=N              mapper DP threads; 0 = hardware concurrency,
-///                            1 = sequential (default 0; the result is
-///                            bit-identical for every thread count)
 ///   --minimize               two-level minimize covers before mapping (BLIF)
 ///   --seq-aware              prune unexcitable discharge transistors
 ///   --exact                  exact BDD equivalence checking
@@ -79,7 +76,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [--flow=domino|rs|soi] [--objective=area|depth]\n"
-      "          [--wmax=N] [--hmax=N] [--k=F] [--threads=N] [--minimize]\n"
+      "          [--wmax=N] [--hmax=N] [--k=F] [--minimize]\n"
       "          [--seq-aware]\n"
       "          [--exact] [--dump] [--spice=FILE] [--verilog=FILE]\n"
       "          [--timing] [--power] [--lint] [--lint-sarif=FILE]\n"
@@ -155,8 +152,6 @@ int main(int argc, char** argv) {
       int_flag(arg.substr(7), "--hmax", &options.mapper.max_height);
     } else if (arg.rfind("--k=", 0) == 0) {
       double_flag(arg.substr(4), "--k", &options.mapper.clock_weight);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      int_flag(arg.substr(10), "--threads", &options.mapper.num_threads);
     } else if (arg == "--minimize") {
       options.decompose.minimize_covers = true;
     } else if (arg == "--seq-aware") {

@@ -25,7 +25,7 @@
 ///   --allow-failures         exit 0 when all jobs are terminal, even if
 ///                            some failed or were quarantined (soak mode)
 ///
-/// Flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N --threads=N
+/// Flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N
 ///             --seq-aware --exact --verify=N
 ///             --csa --csa-margin=X  (static charge-sharing / PBE-safety
 ///             analysis per job; the retry ladder shrinks its state
@@ -65,7 +65,7 @@ namespace {
       "          [--attempts=N] [--backoff-ms=N] [--isolate]\n"
       "          [--journal=FILE] [--manifest=FILE] [--resume]\n"
       "          [--inject=N/D@SEED] [--allow-failures]\n"
-      "          [--flow=domino|rs|soi] [--wmax=N] [--hmax=N] [--threads=N]\n"
+      "          [--flow=domino|rs|soi] [--wmax=N] [--hmax=N]\n"
       "          [--seq-aware] [--exact] [--verify=N]\n"
       "          [--csa] [--csa-margin=X]\n"
       "          [--race] [--race-phases=N] [--race-teval=X] [--race-tpre=X]\n"
@@ -180,8 +180,6 @@ int main(int argc, char** argv) {
       int_flag(arg.substr(7), "--wmax", &options.flow.mapper.max_width);
     } else if (arg.rfind("--hmax=", 0) == 0) {
       int_flag(arg.substr(7), "--hmax", &options.flow.mapper.max_height);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      int_flag(arg.substr(10), "--threads", &options.flow.mapper.num_threads);
     } else if (arg == "--seq-aware") {
       options.flow.sequence_aware = true;
     } else if (arg == "--exact") {

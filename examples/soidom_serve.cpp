@@ -27,7 +27,7 @@
 ///   --attempts=N             retry budget per job (default 3)
 ///   --report=FILE            write the final JSON report here too
 ///   --inject=N/D@SEED        seeded per-(job,attempt) fault injection
-///   flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N --threads=N
+///   flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N
 ///               --seq-aware --exact --verify=N
 ///
 /// submit options:
@@ -63,7 +63,7 @@ namespace {
       "                 [--max-in-flight=N] [--timeout-ms=N] [--attempts=N]\n"
       "                 [--report=FILE] [--inject=N/D@SEED]\n"
       "                 [--flow=domino|rs|soi] [--wmax=N] [--hmax=N]\n"
-      "                 [--threads=N] [--seq-aware] [--exact] [--verify=N]\n"
+      "                 [--seq-aware] [--exact] [--verify=N]\n"
       "       %s submit --socket=PATH [--circuits=a,b,c] [--deadline-ms=N]\n"
       "                 [--manifest=FILE] [circuit.blif ...]\n"
       "       %s ping   --socket=PATH\n"
@@ -141,9 +141,6 @@ int run_serve(int argc, char** argv) {
       int_flag(arg.substr(7), "--wmax", &options.batch.flow.mapper.max_width);
     } else if (arg.rfind("--hmax=", 0) == 0) {
       int_flag(arg.substr(7), "--hmax", &options.batch.flow.mapper.max_height);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      int_flag(arg.substr(10), "--threads",
-               &options.batch.flow.mapper.num_threads);
     } else if (arg == "--seq-aware") {
       options.batch.flow.sequence_aware = true;
     } else if (arg == "--exact") {

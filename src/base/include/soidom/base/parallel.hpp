@@ -1,48 +1,28 @@
 /// \file parallel.hpp
-/// A small persistent worker pool for parallel loops and dependency-
-/// counting task graphs.
+/// A small persistent worker pool for parallel loops.
 ///
-/// The pool is built once per client (e.g. one mapper run) and reused for
-/// many batches, so the thread-creation cost is paid once.  Two execution
-/// shapes are offered:
+/// The pool is built once per client (e.g. one analyzer run) and reused
+/// for many batches, so the thread-creation cost is paid once.  `run`
+/// executes a flat index range: work items are claimed dynamically from a
+/// shared atomic counter; callers that need deterministic output must
+/// write results into per-item slots and merge them in item order
+/// afterwards.
 ///
-///  * `run`: a flat index range.  Work items are claimed dynamically from
-///    a shared atomic counter; callers that need deterministic output must
-///    write results into per-item slots and merge them in item order
-///    afterwards.
-///  * `run_graph`: a DAG of tasks.  Every task carries an atomic
-///    unresolved-dependency counter and becomes *ready* the moment the
-///    counter hits zero; ready tasks go onto the finishing worker's local
-///    deque and idle workers steal from their peers, so no barrier is ever
-///    taken between dependency levels.  Callers that need deterministic
-///    output must make each task's result a pure function of its
-///    dependencies' results (slot-per-task writes), in which case the
-///    output is independent of the stealing schedule.
-///
-/// Exceptions thrown by the callback are captured per item/task; the batch
-/// still drains (dependents of a failed task are released, but tasks with
-/// a higher index than the recorded failure are skipped) and the failure
-/// with the LOWEST index is rethrown after the drain, so error reporting
-/// is reproducible regardless of thread scheduling.
+/// Exceptions thrown by the callback are captured per item; the batch
+/// still drains (items with a higher index than the recorded failure are
+/// skipped) and the failure with the LOWEST index is rethrown after the
+/// drain, so error reporting is reproducible regardless of thread
+/// scheduling.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace soidom {
 
 /// Number of worker threads `ThreadPool{0}` resolves to (hardware
 /// concurrency, at least 1).
 unsigned hardware_thread_count() noexcept;
-
-/// True when std::thread::hardware_concurrency() reported a usable
-/// (nonzero) value; false when it returned 0 — "unknown" per the standard
-/// — and hardware_thread_count() fell back to 1.  Benchmarks record this
-/// flag so a reported concurrency of 1 can be told apart from an
-/// undetectable one.
-bool hardware_concurrency_detected() noexcept;
 
 class ThreadPool {
  public:
@@ -61,23 +41,6 @@ class ThreadPool {
   /// calling thread participates as worker 0.  Not reentrant.
   void run(std::size_t num_items,
            const std::function<void(std::size_t item, unsigned worker)>& fn);
-
-  /// Run `fn(task, worker)` for every task in [0, num_tasks) respecting
-  /// the dependency DAG given as successor lists: `successors[t]` holds
-  /// the tasks that may only start after `t` finished (in-degrees are
-  /// derived internally).  Blocks until the graph drains.  Edges must
-  /// form a DAG; a cycle leaves its tasks unreachable, which is reported
-  /// as a contract violation after the reachable part drains.  The
-  /// calling thread participates as worker 0.  Not reentrant (neither
-  /// with itself nor with run()).
-  ///
-  /// Completion of task `t` happens-before execution of every successor
-  /// (acq_rel on the dependency counters), so slot-per-task result
-  /// arrays need no additional synchronization.
-  void run_graph(
-      std::size_t num_tasks,
-      const std::vector<std::vector<std::uint32_t>>& successors,
-      const std::function<void(std::size_t task, unsigned worker)>& fn);
 
  private:
   struct Impl;

@@ -53,8 +53,8 @@ bool json_find_int64(std::string_view line, std::string_view key,
 /// Strict decimal-integer parse for CLI option values: the whole of `text`
 /// must be a base-10 integer fitting in int (optional leading '-').
 /// Returns false on empty input, trailing junk, or overflow — unlike
-/// std::atoi, which silently yields 0 for garbage (so "--threads=max"
-/// would silently mean "auto" instead of failing).
+/// std::atoi, which silently yields 0 for garbage (so "--jobs=all" would
+/// silently mean 0 instead of failing).
 bool parse_int_strict(std::string_view text, int* out);
 
 /// Strict floating-point parse for CLI option values: the whole of `text`

@@ -1,16 +1,13 @@
 #include "soidom/base/parallel.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "soidom/base/contracts.hpp"
 
 namespace soidom {
 
@@ -19,13 +16,9 @@ unsigned hardware_thread_count() noexcept {
   return n == 0 ? 1u : n;
 }
 
-bool hardware_concurrency_detected() noexcept {
-  return std::thread::hardware_concurrency() != 0;
-}
-
 struct ThreadPool::Impl {
-  // Batch state.  `generation` bumps once per run()/run_graph(); sleeping
-  // workers wake when it changes, drain the batch, then report done.
+  // Batch state.  `generation` bumps once per run(); sleeping workers wake
+  // when it changes, drain the batch, then report done.
   std::mutex mutex;
   std::condition_variable work_cv;
   std::condition_variable done_cv;
@@ -33,32 +26,9 @@ struct ThreadPool::Impl {
   unsigned active = 0;
   bool shutdown = false;
 
-  // --- flat-range batches (run) -----------------------------------------
   std::size_t num_items = 0;
   const std::function<void(std::size_t, unsigned)>* fn = nullptr;
   std::atomic<std::size_t> next{0};
-
-  // --- task-graph batches (run_graph) -----------------------------------
-  /// One worker's ready-task deque.  The owner pushes/pops at the back
-  /// (LIFO keeps freshly released successors hot in cache); thieves take
-  /// from the front, which tends to hold the oldest — and in the mapper's
-  /// topologically packed graphs, the widest — subgraphs.
-  struct WorkDeque {
-    std::mutex mutex;
-    std::deque<std::uint32_t> tasks;
-  };
-  bool graph_mode = false;
-  const std::vector<std::vector<std::uint32_t>>* successors = nullptr;
-  std::vector<std::atomic<std::uint32_t>> deps;
-  std::vector<WorkDeque> deques;
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<std::size_t> pushed{0};
-  std::atomic<std::size_t> completed{0};
-  std::atomic<unsigned> running{0};
-  std::atomic<bool> aborted{false};
-  std::atomic<unsigned> sleepers{0};
-  std::mutex idle_mutex;
-  std::condition_variable idle_cv;
 
   // First failure by item index, so rethrow order is schedule-independent.
   std::mutex error_mutex;
@@ -66,10 +36,6 @@ struct ThreadPool::Impl {
   std::exception_ptr error;
 
   std::vector<std::thread> workers;
-
-  unsigned pool_size() const {
-    return static_cast<unsigned>(workers.size()) + 1;
-  }
 
   bool skip_after_error(std::size_t item) {
     std::lock_guard<std::mutex> lock(error_mutex);
@@ -99,106 +65,6 @@ struct ThreadPool::Impl {
     }
   }
 
-  // --- task-graph execution ---------------------------------------------
-
-  void push_task(unsigned worker, std::uint32_t task) {
-    {
-      std::lock_guard<std::mutex> lock(deques[worker].mutex);
-      deques[worker].tasks.push_back(task);
-    }
-    pushed.fetch_add(1, std::memory_order_relaxed);
-    if (sleepers.load(std::memory_order_relaxed) > 0) idle_cv.notify_one();
-  }
-
-  bool pop_or_steal(unsigned worker, std::uint32_t* task) {
-    {
-      std::lock_guard<std::mutex> lock(deques[worker].mutex);
-      if (!deques[worker].tasks.empty()) {
-        *task = deques[worker].tasks.back();
-        deques[worker].tasks.pop_back();
-        return true;
-      }
-    }
-    const unsigned n = pool_size();
-    for (unsigned i = 1; i < n; ++i) {
-      WorkDeque& victim = deques[(worker + i) % n];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        *task = victim.tasks.front();
-        victim.tasks.pop_front();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void execute_task(std::uint32_t task, unsigned worker) {
-    running.fetch_add(1, std::memory_order_relaxed);
-    if (!skip_after_error(task)) {
-      try {
-        (*fn)(task, worker);
-      } catch (...) {
-        record_error(task);
-      }
-    }
-    // Dependents are released even after a failure so the graph always
-    // drains; the skip rule above keeps post-error work bounded.  acq_rel
-    // chains every predecessor's writes into the successor's execution.
-    for (const std::uint32_t s : (*successors)[task]) {
-      if (deps[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        push_task(worker, s);
-      }
-    }
-    running.fetch_sub(1, std::memory_order_relaxed);
-    completed.fetch_add(1, std::memory_order_relaxed);
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      idle_cv.notify_all();
-    }
-  }
-
-  /// True when the graph cannot make further progress: nothing ready,
-  /// nothing running, yet tasks remain (a dependency cycle — a caller
-  /// contract violation).  Only the main thread polls this.
-  bool stuck() {
-    if (remaining.load(std::memory_order_acquire) == 0) return false;
-    if (running.load(std::memory_order_acquire) != 0) return false;
-    if (completed.load(std::memory_order_acquire) !=
-        pushed.load(std::memory_order_acquire)) {
-      return false;
-    }
-    for (WorkDeque& d : deques) {
-      std::lock_guard<std::mutex> lock(d.mutex);
-      if (!d.tasks.empty()) return false;
-    }
-    return remaining.load(std::memory_order_acquire) != 0 &&
-           running.load(std::memory_order_acquire) == 0;
-  }
-
-  void graph_drain(unsigned worker) {
-    while (true) {
-      std::uint32_t task = 0;
-      if (pop_or_steal(worker, &task)) {
-        execute_task(task, worker);
-        continue;
-      }
-      if (remaining.load(std::memory_order_acquire) == 0 ||
-          aborted.load(std::memory_order_relaxed)) {
-        return;
-      }
-      if (worker == 0 && stuck()) {
-        aborted.store(true, std::memory_order_relaxed);
-        idle_cv.notify_all();
-        return;
-      }
-      // Bounded sleep: a missed notify costs at most one timeout, never a
-      // deadlock.
-      std::unique_lock<std::mutex> lock(idle_mutex);
-      sleepers.fetch_add(1, std::memory_order_relaxed);
-      idle_cv.wait_for(lock, std::chrono::microseconds(200));
-      sleepers.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-
   void worker_loop(unsigned worker) {
     std::uint64_t seen = 0;
     while (true) {
@@ -208,11 +74,7 @@ struct ThreadPool::Impl {
         if (shutdown) return;
         seen = generation;
       }
-      if (graph_mode) {
-        graph_drain(worker);
-      } else {
-        drain(worker);
-      }
+      drain(worker);
       {
         std::lock_guard<std::mutex> lock(mutex);
         if (--active == 0) done_cv.notify_all();
@@ -220,7 +82,7 @@ struct ThreadPool::Impl {
     }
   }
 
-  void start_batch_and_join(unsigned caller_worker) {
+  void start_batch_and_join() {
     if (!workers.empty()) {
       {
         std::lock_guard<std::mutex> lock(mutex);
@@ -229,11 +91,7 @@ struct ThreadPool::Impl {
       }
       work_cv.notify_all();
     }
-    if (graph_mode) {
-      graph_drain(caller_worker);
-    } else {
-      drain(caller_worker);
-    }
+    drain(0);
     if (!workers.empty()) {
       std::unique_lock<std::mutex> lock(mutex);
       done_cv.wait(lock, [&] { return active == 0; });
@@ -258,71 +116,22 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-unsigned ThreadPool::size() const { return impl_->pool_size(); }
+unsigned ThreadPool::size() const {
+  return static_cast<unsigned>(impl_->workers.size()) + 1;
+}
 
 void ThreadPool::run(
     std::size_t num_items,
     const std::function<void(std::size_t item, unsigned worker)>& fn) {
   if (num_items == 0) return;
-  impl_->graph_mode = false;
   impl_->num_items = num_items;
   impl_->fn = &fn;
   impl_->next.store(0, std::memory_order_relaxed);
   impl_->error = nullptr;
   impl_->error_item = std::numeric_limits<std::size_t>::max();
-  impl_->start_batch_and_join(0);
+  impl_->start_batch_and_join();
   impl_->fn = nullptr;
   if (impl_->error) std::rethrow_exception(impl_->error);
-}
-
-void ThreadPool::run_graph(
-    std::size_t num_tasks,
-    const std::vector<std::vector<std::uint32_t>>& successors,
-    const std::function<void(std::size_t task, unsigned worker)>& fn) {
-  if (num_tasks == 0) return;
-  SOIDOM_REQUIRE(successors.size() == num_tasks,
-                 "run_graph: successors list size must equal num_tasks");
-
-  Impl& im = *impl_;
-  im.graph_mode = true;
-  im.fn = &fn;
-  im.successors = &successors;
-  im.deps = std::vector<std::atomic<std::uint32_t>>(num_tasks);
-  for (const std::vector<std::uint32_t>& succ : successors) {
-    for (const std::uint32_t s : succ) {
-      SOIDOM_REQUIRE(s < num_tasks, "run_graph: successor id out of range");
-      im.deps[s].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  im.deques = std::vector<Impl::WorkDeque>(im.pool_size());
-  im.remaining.store(num_tasks, std::memory_order_relaxed);
-  im.pushed.store(0, std::memory_order_relaxed);
-  im.completed.store(0, std::memory_order_relaxed);
-  im.running.store(0, std::memory_order_relaxed);
-  im.aborted.store(false, std::memory_order_relaxed);
-  im.error = nullptr;
-  im.error_item = std::numeric_limits<std::size_t>::max();
-
-  // Seed the initially ready tasks round-robin across the deques so every
-  // worker starts with local work (the distribution affects only load
-  // balance, never results).
-  unsigned seed_worker = 0;
-  for (std::uint32_t t = 0; t < num_tasks; ++t) {
-    if (im.deps[t].load(std::memory_order_relaxed) == 0) {
-      im.push_task(seed_worker, t);
-      seed_worker = (seed_worker + 1) % im.pool_size();
-    }
-  }
-
-  im.start_batch_and_join(0);
-
-  im.fn = nullptr;
-  im.successors = nullptr;
-  im.graph_mode = false;
-  const bool was_aborted = im.aborted.load(std::memory_order_relaxed);
-  if (im.error) std::rethrow_exception(im.error);
-  SOIDOM_REQUIRE(!was_aborted,
-                 "run_graph: task graph did not drain (dependency cycle?)");
 }
 
 }  // namespace soidom

@@ -11,8 +11,8 @@
 ///    to every in-flight job;
 ///  * retries   — failed attempts back off exponentially with seeded,
 ///    deterministic jitter and walk an explicit degradation ladder
-///    (drop exact BDD equivalence -> shrink verify rounds -> relax
-///    Wmax/Hmax -> single-thread mapper), every step recorded;
+///    (drop exact BDD equivalence -> shrink verify rounds -> shrink the
+///    csa / race analyses -> relax Wmax/Hmax), every step recorded;
 ///  * isolation — opt-in: each attempt forks into a subprocess, so a
 ///    segfault or runaway loop is contained and the job quarantined
 ///    instead of killing the batch;
@@ -57,7 +57,7 @@ struct RetryPolicy {
 
 /// Degradation-ladder steps, cumulative: step n applies every override
 /// of the steps before it.  Attempt 1 runs kFull; each retry escalates
-/// one step and stays at kSingleThread once reached.
+/// one step and stays at kRelaxLimits once reached.
 enum class LadderStep : std::uint8_t {
   kFull,          ///< the caller's FlowOptions verbatim
   kDropExact,     ///< exact_equivalence = false
@@ -69,7 +69,6 @@ enum class LadderStep : std::uint8_t {
                   ///< window-dependent ones are dropped)
   kRelaxLimits,   ///< Wmax/Hmax doubled (capped at 64), like the
                   ///< guarded flow's infeasible-limit retry
-  kSingleThread,  ///< mapper.num_threads = 1
 };
 
 const char* ladder_step_name(LadderStep step);

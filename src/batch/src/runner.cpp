@@ -302,7 +302,6 @@ const char* ladder_step_name(LadderStep step) {
     case LadderStep::kShrinkCsa: return "shrink_csa";
     case LadderStep::kShrinkRace: return "shrink_race";
     case LadderStep::kRelaxLimits: return "relax_limits";
-    case LadderStep::kSingleThread: return "single_thread";
   }
   return "unknown";
 }
@@ -314,8 +313,7 @@ LadderStep ladder_step_for_attempt(int attempt) {
     case 3: return LadderStep::kShrinkVerify;
     case 4: return LadderStep::kShrinkCsa;
     case 5: return LadderStep::kShrinkRace;
-    case 6: return LadderStep::kRelaxLimits;
-    default: return LadderStep::kSingleThread;
+    default: return LadderStep::kRelaxLimits;
   }
 }
 
@@ -339,7 +337,6 @@ FlowOptions apply_ladder(const FlowOptions& base, LadderStep step) {
     effective.mapper.max_height =
         std::min(64, std::max(2, effective.mapper.max_height * 2));
   }
-  if (step >= LadderStep::kSingleThread) effective.mapper.num_threads = 1;
   return effective;
 }
 

@@ -73,8 +73,8 @@ Network gen_random_dag(int pis, int gates, int pos, std::uint64_t seed);
 /// literals appear with 1/8 probability, so the unate conversion sees a
 /// realistic binate mix.  Scale-bench workhorse: node count = width x
 /// depth by construction (before hashing / dead-node removal), with level
-/// width ~= `width` — wide-shallow stresses scheduler throughput,
-/// narrow-deep stresses the dependency critical path.
+/// width ~= `width` — wide-shallow and narrow-deep shapes of the same
+/// size.
 Network gen_layered_dag(int width, int depth, int back_weight,
                         std::uint64_t seed);
 

@@ -18,7 +18,7 @@ namespace soidom {
 /// All classic circuit names (union of the paper's four tables plus the
 /// completeness extras).  Deliberately excludes the scale suite — test
 /// suites sweep this list with full flows and golden-stat pins; use
-/// scale_circuits() for the 100k+-node scheduler benchmarks.
+/// scale_circuits() for the 100k+-node scale benchmarks.
 std::vector<std::string> benchmark_names();
 
 /// True if `name` is registered.
@@ -35,11 +35,11 @@ std::vector<std::string> table3_circuits();  ///< clock-weight k = 1 vs 2
 std::vector<std::string> table4_circuits();  ///< depth objective
 
 /// Large synthetic circuits (roughly 100k to 1M AND/OR nodes after unate
-/// conversion) for mapper-scheduler scaling benchmarks: deep multipliers,
-/// SPN stacks, and layered random DAGs with controlled level width.
-/// Ascending size; the last entry is the ~1M-node stress case (bench
-/// binaries gate it behind an explicit flag).  All names also resolve
-/// through build_benchmark().  See docs/BENCHGEN.md.
+/// conversion) for mapper scaling benchmarks: deep multipliers, SPN
+/// stacks, and layered random DAGs with controlled level width.
+/// Ascending size; the last entry is the ~1M-node stress case, which no
+/// benchmark runs by default.  All names also resolve through
+/// build_benchmark().  See docs/BENCHGEN.md.
 std::vector<std::string> scale_circuits();
 
 }  // namespace soidom

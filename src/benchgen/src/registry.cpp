@@ -63,7 +63,7 @@ constexpr Entry kEntries[] = {
     {"c7552", [] { return gen_random_dag(207, 3500, 108, 0x7552); }},
 };
 
-/// Scale suite: 100k–1M-node scheduler benchmarks (docs/BENCHGEN.md).
+/// Scale suite: 100k–1M-node mapper benchmarks (docs/BENCHGEN.md).
 /// Kept out of kEntries so benchmark_names() — which the test suites
 /// sweep with full flows and golden-stat pins — stays the classic set;
 /// build_benchmark() still resolves these by name.

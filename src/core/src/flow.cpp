@@ -95,10 +95,6 @@ void run_stages(const Network& source, const FlowOptions& options,
     mapped = run_map(relaxed);
     mopts = relaxed;  // downstream stages see the effective limits
   }
-  // Surface mapper warnings (e.g. a clamped num_threads request) through
-  // the flow outcome, whichever attempt produced the mapping.
-  out.warnings.insert(out.warnings.end(), mapped.warnings.begin(),
-                      mapped.warnings.end());
   result.dp_analyzer_mismatches = mapped.dp_analyzer_mismatches;
   result.netlist = std::move(mapped.netlist);
 

@@ -27,10 +27,12 @@ namespace soidom {
 /// Seeded, probe-point-per-stage fault source (same determinism idiom as
 /// base/rng.hpp: a given configuration fails identically on every run).
 ///
-/// Probes may fire concurrently: the task-graph mapper re-installs the
-/// caller's injector on its pool workers, so hit counting is atomic and
-/// the randomized stream is mutex-guarded.  Copying (factory returns,
-/// test fixtures) is not synchronized against concurrent probes.
+/// Hit counting is atomic and the randomized stream is mutex-guarded, so
+/// one injector may be installed on several threads at once.  The
+/// analyzers' pools (csa, race, prove) re-install only the flow's guard on
+/// their workers, not the injector: their probes fire at stage entry, on
+/// the calling thread.  Copying (factory returns, test fixtures) is not
+/// synchronized against concurrent probes.
 class FaultInjector {
  public:
   /// Fail the `hit`-th time (1-based) the probe of `stage` is reached.
@@ -76,13 +78,6 @@ class FaultScope {
  private:
   FaultInjector* previous_;
 };
-
-/// The injector installed for the current thread (innermost FaultScope),
-/// or nullptr.  Parallel schedulers capture this on the submitting thread
-/// and re-install it on their workers with a FaultScope, so probes inside
-/// tasks observe the caller's injector (thread-local storage does not
-/// propagate into pool threads by itself).
-FaultInjector* current_fault_injector() noexcept;
 
 namespace detail {
 /// Throws GuardError(kFaultInjected, stage) when the installed injector

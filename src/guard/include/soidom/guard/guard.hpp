@@ -13,10 +13,10 @@
 ///
 /// A GuardContext must not be shared by concurrently running *flows*, but
 /// checkpoint()/charge() are thread-safe (relaxed atomics), so one flow
-/// may fan its hot loop out over worker threads — the task-graph mapper
-/// installs the owning flow's guard on each worker via GuardScope and the
-/// budget/deadline still hold across all of them.  A CancelToken may be
-/// triggered from any thread.
+/// may fan its hot loop out over worker threads — the csa, race and prove
+/// analyzers install the owning flow's guard on each pool worker via
+/// GuardScope and the budget/deadline still hold across all of them.  A
+/// CancelToken may be triggered from any thread.
 #pragma once
 
 #include <atomic>

@@ -72,8 +72,6 @@ FaultScope::FaultScope(FaultInjector& injector) : previous_(g_injector) {
 
 FaultScope::~FaultScope() { g_injector = previous_; }
 
-FaultInjector* current_fault_injector() noexcept { return g_injector; }
-
 namespace detail {
 
 void fault_probe(FlowStage stage) {

@@ -6,11 +6,9 @@
 /// mapper's output depends on: the unate cone (nodes in topological id
 /// order, PI literal bindings, output phases) plus a fingerprint of the
 /// result-affecting MapperOptions knobs ({Wmax, Hmax, k}, engine,
-/// objective, grounding, ...).  Scheduling knobs (num_threads,
-/// oversubscribe, task_grain, serial_cutoff) are deliberately excluded:
-/// the task-graph DP produces bit-identical netlists for every thread
-/// count and grain (bench/perf_mapper enforces this), so they cannot
-/// affect the value.
+/// objective, grounding, ...).  MapperOptions::num_threads is
+/// deliberately excluded: the mapper never reads it, so it cannot affect
+/// the value.
 ///
 /// Hashes are used only for sharding and indexing.  A cache lookup
 /// compares the full key text, so a hash collision degrades to a miss —
@@ -50,7 +48,7 @@ ConeKey cone_key(const UnateResult& unate, const MapperOptions& options);
 
 /// A cached mapping: the .dnl serialization of the mapped netlist plus
 /// the DP bookkeeping the flow report needs.  Effort counters
-/// (candidates examined, scheduler shape) are not cached — they describe
+/// (candidates examined, DP levels) are not cached — they describe
 /// the run that produced the value, not the value, and no report surface
 /// that feeds a manifest includes them.
 struct CachedMapping {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "soidom/domino/netlist.hpp"
-#include "soidom/guard/diagnostic.hpp"
 #include "soidom/mapper/options.hpp"
 #include "soidom/network/network.hpp"
 #include "soidom/unate/unate.hpp"
@@ -68,12 +67,7 @@ struct MappingResult {
   /// DP-predicted weighted cost of the whole implementation.
   std::int64_t predicted_cost = 0;
 
-  /// Non-fatal conditions (currently: a num_threads request clamped to
-  /// hardware concurrency).  The flow facade copies these into
-  /// FlowOutcome::warnings.
-  std::vector<Diagnostic> warnings;
-
-  // --- DP effort counters (perf trajectory; see bench/perf_mapper) ------
+  // --- DP effort counters (perfbench's mapper.* metrics) ---------------
   /// Raw candidates examined before Pareto pruning.
   std::size_t candidates_examined = 0;
   /// Candidates retained across all per-node survivor sets and leaves
@@ -81,12 +75,10 @@ struct MappingResult {
   std::size_t candidates_retained = 0;
   /// Distinct topological levels among mapped nodes (depth of the DP).
   int dp_levels = 0;
-  /// Scheduler tasks the DP graph was chunked into (0 = inline serial
-  /// path: below MapperOptions::serial_cutoff or num_threads == 1).
+  /// Always 0: the DP is one serial pass with no scheduler tasks.  Kept
+  /// only because perfbench still reports it as `mapper.dp_tasks`.
   int dp_tasks = 0;
-  /// Effective fanout-cone chunking grain (nodes per task target).
-  int dp_grain = 0;
-  /// Worker threads actually used after auto-resolution and clamping.
+  /// Always 1, for the same reason (`mapper.threads_used`).
   int threads_used = 1;
 };
 

@@ -66,30 +66,10 @@ struct MapperOptions {
   /// DP may instead duplicate such cones into each fanout.
   bool gate_at_fanout = true;
 
-  /// Worker threads for the task-graph DP scheduler (a node becomes ready
-  /// the moment its fanins are mapped; no level barriers).  0 = hardware
-  /// concurrency (default); 1 = fully sequential.  The mapped netlist and
-  /// every cost are bit-identical for every thread count: candidate
-  /// references are schedule-independent (level, node, local) keys, so no
-  /// tie-break can observe the execution order.
+  /// Unused: the DP is one serial pass, and the mapper neither reads nor
+  /// validates this field.  It remains only because the perfbench
+  /// workloads still set it; it goes with their next revision.
   int num_threads = 0;
-
-  /// Requests above hardware concurrency are clamped to it and reported
-  /// as a structured Diagnostic in MappingResult::warnings — unless this
-  /// is set, in which case the requested worker count is spawned anyway
-  /// (determinism tests and benchmarks oversubscribe deliberately).
-  bool oversubscribe = false;
-
-  /// Scheduler task grain: target node count per task after fanout-cone
-  /// chunking.  0 = auto (derived from node and thread count so small
-  /// circuits get few, fat tasks and large ones enough slack to steal).
-  int task_grain = 0;
-
-  /// Below this many AND/OR nodes the DP skips the scheduler entirely and
-  /// maps inline on the calling thread — scheduling overhead can only
-  /// lose on small circuits.  0 disables the cutoff (tests force the
-  /// parallel path with it).
-  int serial_cutoff = 4096;
 };
 
 /// Validate every knob up front; throws soidom::Error with a message

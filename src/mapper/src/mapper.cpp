@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <tuple>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/domino/postpass.hpp"
 #include "soidom/guard/fault.hpp"
@@ -15,16 +13,15 @@
 namespace soidom {
 namespace {
 
-/// A schedule-independent reference to one DP candidate: the unate node
-/// that owns it plus its position in that node's canonical candidate
-/// sequence (survivors in (W, H, rank) order, then the gate-leaf tuple;
-/// a PI node owns exactly its input-leaf candidate at local 0).
+/// A reference to one DP candidate: the unate node that owns it plus its
+/// position in that node's canonical candidate sequence (survivors in
+/// (W, H, rank) order, then the gate-leaf tuple; a PI node owns exactly
+/// its input-leaf candidate at local 0).
 ///
 /// The total order (level, node, local) over these references reproduces
-/// the append order of the old level-synchronous global arena exactly, so
-/// every tie-break that used to compare arena indices compares reference
-/// keys instead and realizes the identical netlist — without any merge
-/// barrier assigning indices.
+/// the append order of the legacy level-by-level global arena exactly, so
+/// every tie-break that once compared arena indices compares reference
+/// keys instead and realizes the identical netlist.
 struct CandRef {
   static constexpr std::uint32_t kNullNode = 0xffffffffu;
 
@@ -61,16 +58,11 @@ struct Cand {
   int p_total() const { return p_bot + p_above; }
 };
 
-/// The DP runs over a *dependency-counting task graph*: a node's tuple set
-/// depends only on its two fanins, so nodes are coarsened into
-/// fanout-cone chunks, every chunk carries an atomic unresolved-fanin
-/// counter, and a chunk is executed the moment its counter hits zero —
-/// there is no barrier between topological levels (ThreadPool::run_graph,
-/// a work-stealing scheduler).  Each node's surviving candidates are
-/// written into its own slot; because candidate cross-references are
-/// schedule-independent CandRef keys, the result is bit-identical for
-/// every thread count, grain size, and stealing schedule — including the
-/// inline serial path taken below MapperOptions::serial_cutoff.
+/// The DP is one bottom-up pass over the AND/OR nodes in id order.  Ids
+/// are a topological order and a node's tuple set depends only on its two
+/// fanins, so every node is mapped after both of them.  Each node's
+/// surviving candidates are written into its own slot and refer to their
+/// children by CandRef keys.
 class MapperImpl {
  public:
   MapperImpl(const UnateResult& unate, const MapperOptions& opts)
@@ -142,60 +134,21 @@ class MapperImpl {
 
     // AND/OR nodes in id order (ids are a topological order: every fanin
     // has a smaller id than its fanout).
-    std::vector<std::uint32_t> order;
-    int max_level = 0;
+    scratch_.cells.resize(static_cast<std::size_t>(grid_wmax_) * grid_hmax_);
+    candidates_retained_ = num_pi_leaves;
+    std::vector<char> level_used;  // distinct levels among mapped nodes
     for (std::uint32_t i = 2; i < net_.size(); ++i) {
       const NodeKind kind = net_.kind(NodeId{i});
       if (kind != NodeKind::kAnd && kind != NodeKind::kOr) continue;
-      order.push_back(i);
-      max_level = std::max(max_level, level_[i]);
+      process_node(NodeId{i});
+      candidates_retained_ += survivors_[i].size() + 1;  // + gate leaf
+      const auto level = static_cast<std::size_t>(level_[i]);
+      if (level >= level_used.size()) level_used.resize(level + 1, 0);
+      level_used[level] = 1;
     }
-    {  // dp_levels: distinct topological levels among mapped nodes.
-      std::vector<char> seen(static_cast<std::size_t>(max_level) + 1, 0);
-      for (const std::uint32_t i : order) seen[level_[i]] = 1;
-      dp_levels_ = static_cast<int>(std::count(seen.begin(), seen.end(), 1));
-    }
-
-    // Resolve the worker count; clamp oversubscribed requests with a
-    // structured warning unless the caller opted into oversubscription.
-    const unsigned hw = hardware_thread_count();
-    unsigned num_threads = opts_.num_threads == 0
-                               ? hw
-                               : static_cast<unsigned>(opts_.num_threads);
-    if (num_threads > hw && !opts_.oversubscribe) {
-      warnings_.push_back(Diagnostic{
-          ErrorCode::kInvalidOptions, current_stage_or(FlowStage::kMap),
-          format("MapperOptions.num_threads = %u exceeds hardware "
-                 "concurrency %u; clamped to %u (results are identical at "
-                 "any thread count; set MapperOptions::oversubscribe to "
-                 "spawn the requested workers anyway)",
-                 num_threads, hw, hw),
-          {}});
-      num_threads = hw;
-    }
-
-    const bool serial =
-        num_threads <= 1 ||
-        (opts_.serial_cutoff > 0 &&
-         order.size() < static_cast<std::size_t>(opts_.serial_cutoff));
-    if (serial) {
-      threads_used_ = 1;
-      scratch_.resize(1);
-      prepare_scratch();
-      std::size_t examined = 0;
-      for (const std::uint32_t id : order) {
-        process_node(NodeId{id}, 0, &examined);
-      }
-      candidates_examined_ = examined;
-    } else {
-      run_dp_graph(order, num_threads);
-    }
-    scratch_.clear();
-
-    candidates_retained_ = num_pi_leaves;
-    for (const std::uint32_t id : order) {
-      candidates_retained_ += survivors_[id].size() + 1;  // + gate leaf
-    }
+    dp_levels_ = static_cast<int>(
+        std::count(level_used.begin(), level_used.end(), 1));
+    scratch_ = Scratch{};
   }
 
   MappingResult run() {
@@ -233,10 +186,6 @@ class MapperImpl {
     result_.candidates_examined = candidates_examined_;
     result_.candidates_retained = candidates_retained_;
     result_.dp_levels = dp_levels_;
-    result_.dp_tasks = dp_tasks_;
-    result_.dp_grain = dp_grain_;
-    result_.threads_used = threads_used_;
-    result_.warnings = warnings_;
     result_.netlist = std::move(netlist_);
     return result_;
   }
@@ -374,9 +323,9 @@ class MapperImpl {
   }
 
   /// Total order on candidates: primary DP rank, then every remaining
-  /// field, closing with the schedule-independent child-reference keys.
+  /// field, closing with the child-reference keys in legacy arena order.
   /// Beam truncation under an unstable std::sort is therefore
-  /// reproducible on any platform, thread count, and stealing schedule.
+  /// reproducible on any platform.
   bool cand_less(const Cand& a, const Cand& b) const {
     const auto ra = rank(a.committed, a.level, a.p_total());
     const auto rb = rank(b.committed, b.level, b.p_total());
@@ -509,9 +458,9 @@ class MapperImpl {
     out.push_back(gate_leaf_ref(child.value));
   }
 
-  // --- task-graph DP -------------------------------------------------------
+  // --- DP pass -------------------------------------------------------------
 
-  /// Reusable per-worker state: the raw combination buffer and the flat
+  /// Reusable DP state: the raw combination buffer and the flat
   /// Wmax x Hmax Pareto bucket grid.  Buckets keep their capacity across
   /// nodes; `touched` lists the dirty cells so clearing is O(shapes used).
   struct Scratch {
@@ -521,141 +470,15 @@ class MapperImpl {
     std::vector<CandRef> s0, s1;
   };
 
-  void prepare_scratch() {
-    for (Scratch& s : scratch_) {
-      s.cells.resize(static_cast<std::size_t>(grid_wmax_) * grid_hmax_);
-    }
-  }
-
   std::size_t cell_index(int w, int h) const {
     return static_cast<std::size_t>(w - 1) * grid_hmax_ +
            static_cast<std::size_t>(h - 1);
   }
 
-  /// Coarsen `order` (AND/OR nodes, ascending id == topological order)
-  /// into fanout-cone chunks of about `grain` nodes and run them over the
-  /// dependency-counting scheduler.
-  void run_dp_graph(const std::vector<std::uint32_t>& order,
-                    unsigned num_threads) {
-    // Grain: explicit, or derived so each worker sees plenty of tasks to
-    // steal without descending into per-node scheduling on huge circuits.
-    int grain = opts_.task_grain;
-    if (grain <= 0) {
-      const std::size_t target = static_cast<std::size_t>(num_threads) * 48;
-      grain = static_cast<int>(std::clamp<std::size_t>(
-          order.size() / std::max<std::size_t>(target, 1), 1, 4096));
-    }
-    dp_grain_ = grain;
-
-    // Fanout-free cone clustering: a node with exactly one AND/OR fanout
-    // joins that fanout's cluster (visited in reverse topological order,
-    // so the fanout's cluster already exists) unless the cluster is full.
-    // All edges leaving a cluster originate at its root, so ordering
-    // clusters by root id keeps every inter-cluster edge pointing forward.
-    constexpr std::uint32_t kUnassigned = 0xffffffffu;
-    std::vector<std::uint32_t> gate_fanouts(net_.size(), 0);
-    std::vector<std::uint32_t> unique_fanout(net_.size(), kUnassigned);
-    for (const std::uint32_t id : order) {
-      const Node& n = net_.node(NodeId{id});
-      for (const NodeId f : {n.fanin0, n.fanin1}) {
-        const NodeKind k = net_.kind(f);
-        if (k != NodeKind::kAnd && k != NodeKind::kOr) continue;
-        ++gate_fanouts[f.value];
-        unique_fanout[f.value] = id;
-      }
-    }
-    std::vector<std::uint32_t> cluster(net_.size(), kUnassigned);
-    std::vector<std::uint32_t> cluster_nodes(net_.size(), 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const std::uint32_t u = *it;
-      if (gate_fanouts[u] == 1) {
-        const std::uint32_t root = cluster[unique_fanout[u]];
-        if (cluster_nodes[root] < static_cast<std::uint32_t>(grain)) {
-          cluster[u] = root;
-          ++cluster_nodes[root];
-          continue;
-        }
-      }
-      cluster[u] = u;
-      cluster_nodes[u] = 1;
-    }
-
-    // Pack whole clusters — in root-id order, so inter-chunk edges stay
-    // forward — into chunks of at least `grain` nodes.
-    std::vector<std::vector<std::uint32_t>> members(net_.size());
-    for (const std::uint32_t id : order) {
-      members[cluster[id]].push_back(id);
-    }
-    std::vector<std::vector<std::uint32_t>> chunks;
-    std::vector<std::uint32_t> chunk_of(net_.size(), 0);
-    for (const std::uint32_t id : order) {
-      if (cluster[id] != id) continue;  // not a cluster root
-      if (chunks.empty() ||
-          chunks.back().size() >= static_cast<std::size_t>(grain)) {
-        chunks.emplace_back();
-      }
-      std::vector<std::uint32_t>& chunk = chunks.back();
-      chunk.insert(chunk.end(), members[id].begin(), members[id].end());
-      for (const std::uint32_t m : members[id]) {
-        chunk_of[m] = static_cast<std::uint32_t>(chunks.size() - 1);
-      }
-    }
-    // Intra-chunk execution order must respect dependencies; ascending id
-    // (a topological order) does, for both cone members and packed runs.
-    for (std::vector<std::uint32_t>& chunk : chunks) {
-      std::sort(chunk.begin(), chunk.end());
-    }
-    dp_tasks_ = static_cast<int>(chunks.size());
-
-    // Cross-chunk dependency edges, deduplicated with a stamp array.
-    std::vector<std::vector<std::uint32_t>> successors(chunks.size());
-    std::vector<std::uint32_t> stamp(chunks.size(), 0xffffffffu);
-    for (std::uint32_t c = 0; c < chunks.size(); ++c) {
-      for (const std::uint32_t id : chunks[c]) {
-        const Node& n = net_.node(NodeId{id});
-        for (const NodeId f : {n.fanin0, n.fanin1}) {
-          const NodeKind k = net_.kind(f);
-          if (k != NodeKind::kAnd && k != NodeKind::kOr) continue;
-          const std::uint32_t pc = chunk_of[f.value];
-          if (pc == c || stamp[pc] == c) continue;
-          stamp[pc] = c;
-          successors[pc].push_back(c);
-        }
-      }
-    }
-
-    num_threads = static_cast<unsigned>(
-        std::min<std::size_t>(num_threads, chunks.size()));
-    ThreadPool pool(num_threads);
-    threads_used_ = static_cast<int>(pool.size());
-    scratch_.resize(pool.size());
-    prepare_scratch();
-    std::vector<std::size_t> examined(pool.size(), 0);
-#if defined(SOIDOM_FAULT_INJECTION)
-    FaultInjector* const injector = current_fault_injector();
-#endif
-    pool.run_graph(
-        chunks.size(), successors, [&](std::size_t c, unsigned worker) {
-#if defined(SOIDOM_FAULT_INJECTION)
-          // Workers have their own thread-local injector slot; re-install
-          // the caller's so per-task probes ("worker death" coverage)
-          // observe it.
-          std::optional<FaultScope> fault_scope;
-          if (injector != nullptr) fault_scope.emplace(*injector);
-#endif
-          SOIDOM_FAULT_PROBE(current_stage_or(FlowStage::kMap));
-          for (const std::uint32_t id : chunks[c]) {
-            process_node(NodeId{id}, worker, &examined[worker]);
-          }
-        });
-    candidates_examined_ = 0;
-    for (const std::size_t e : examined) candidates_examined_ += e;
-  }
-
-  void process_node(NodeId id, unsigned worker, std::size_t* examined) {
+  void process_node(NodeId id) {
     if (guard_ != nullptr) guard_->checkpoint();
     const Node& n = net_.node(id);
-    Scratch& scratch = scratch_[worker];
+    Scratch& scratch = scratch_;
     usable_set(n.fanin0, scratch.s0);
     usable_set(n.fanin1, scratch.s1);
 
@@ -695,7 +518,7 @@ class MapperImpl {
                  "increase max_width/max_height",
                  id.value, opts_.max_width, opts_.max_height));
     }
-    *examined += raw.size();
+    candidates_examined_ += raw.size();
     if (guard_ != nullptr) guard_->charge(Resource::kTuples, raw.size());
 
     // Per-shape Pareto pruning on the flat bucket grid.
@@ -716,8 +539,7 @@ class MapperImpl {
     }
 
     // Beam-cap each shape and emit survivors in canonical (W, H) order,
-    // directly into the node's own slot (no merge step: only this task
-    // writes it, and dependents run strictly after via the task graph).
+    // directly into the node's own slot.
     std::vector<Cand>& out = survivors_[id.value];
     SOIDOM_ASSERT(out.empty());
     std::sort(scratch.touched.begin(), scratch.touched.end());
@@ -928,11 +750,10 @@ class MapperImpl {
   bool dp_done_ = false;
   bool ran_ = false;
 
-  GuardContext* guard_ = nullptr;  ///< owning flow's guard, shared by workers
+  GuardContext* guard_ = nullptr;  ///< owning flow's guard, or nullptr
 
-  // Per-node DP state.  Each AND/OR node's slots are written by exactly
-  // one scheduler task; dependents read them only after the dependency
-  // release (acq_rel in ThreadPool::run_graph).
+  // Per-node DP state, indexed by unate node id.  An AND/OR node's slots
+  // are written once, when the pass reaches it.
   std::vector<std::vector<Cand>> survivors_;
   std::vector<Cand> gate_leaf_;
   std::vector<Cand> pi_leaf_;
@@ -945,14 +766,10 @@ class MapperImpl {
   std::vector<std::uint32_t> fanout_;
   std::vector<int> level_;
 
-  std::vector<Scratch> scratch_;  // per worker
+  Scratch scratch_;  ///< released when the pass ends
   std::size_t candidates_examined_ = 0;
   std::size_t candidates_retained_ = 0;
   int dp_levels_ = 0;
-  int dp_tasks_ = 0;
-  int dp_grain_ = 0;
-  int threads_used_ = 1;
-  std::vector<Diagnostic> warnings_;
 
   DominoNetlist netlist_;
   MappingResult result_;
@@ -981,19 +798,6 @@ void validate(const MapperOptions& options) {
       format("MapperOptions.clock_weight = %g is invalid "
              "(need finite 0 < clock_weight <= 1000)",
              options.clock_weight));
-  SOIDOM_REQUIRE(options.num_threads >= 0 && options.num_threads <= 256,
-                 format("MapperOptions.num_threads = %d is invalid "
-                        "(need 0 <= num_threads <= 256; 0 = auto)",
-                        options.num_threads));
-  SOIDOM_REQUIRE(options.task_grain >= 0 && options.task_grain <= (1 << 20),
-                 format("MapperOptions.task_grain = %d is invalid "
-                        "(need 0 <= task_grain <= 1048576; 0 = auto)",
-                        options.task_grain));
-  SOIDOM_REQUIRE(
-      options.serial_cutoff >= 0 && options.serial_cutoff <= (1 << 30),
-      format("MapperOptions.serial_cutoff = %d is invalid "
-             "(need 0 <= serial_cutoff <= 2^30; 0 = always parallel)",
-             options.serial_cutoff));
 }
 
 MappingResult map_to_domino(const UnateResult& unate,

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "soidom/base/contracts.hpp"
+#include "soidom/base/parallel.hpp"
 #include "soidom/base/rng.hpp"
 #include "soidom/base/strings.hpp"
 
@@ -165,6 +170,77 @@ TEST(Contracts, ErrorMessagePreserved) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "specific message");
   }
+}
+
+// --- ThreadPool::run ---------------------------------------------------------
+
+TEST(ThreadPool, EveryItemRunsOnceOnAValidWorker) {
+  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+    ThreadPool pool(threads);
+    const unsigned size = pool.size();
+    EXPECT_EQ(size, threads == 0 ? hardware_thread_count() : threads);
+    constexpr std::size_t kItems = 1000;
+    std::vector<std::atomic<int>> runs(kItems);
+    std::atomic<int> bad_worker{0};
+    pool.run(kItems, [&](std::size_t item, unsigned worker) {
+      runs[item].fetch_add(1, std::memory_order_relaxed);
+      if (worker >= size) bad_worker.fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "item " << i << ", pool " << threads;
+    }
+    EXPECT_EQ(bad_worker.load(), 0) << "pool " << threads;
+  }
+}
+
+/// Every failing item may throw; the lowest index is rethrown whatever
+/// the schedule, and the pool stays usable afterwards.
+TEST(ThreadPool, RethrowsLowestIndexErrorAndStaysUsable) {
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    constexpr std::size_t kItems = 256;
+    std::vector<std::atomic<int>> runs(kItems);
+    try {
+      pool.run(kItems, [&](std::size_t item, unsigned) {
+        runs[item].fetch_add(1, std::memory_order_relaxed);
+        if (item == 17 || item == 200) {
+          throw std::runtime_error("item " + std::to_string(item));
+        }
+      });
+      ADD_FAILURE() << "expected an exception, pool " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 17") << "pool " << threads;
+    }
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_LE(runs[i].load(), 1) << "item " << i;
+      if (i <= 17) EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+    }
+
+    std::atomic<std::size_t> sum{0};
+    pool.run(100, [&](std::size_t item, unsigned) { sum += item; });
+    EXPECT_EQ(sum.load(), 4950u) << "pool " << threads;
+  }
+}
+
+/// Inline (size-1) pools run items in order, so everything after the
+/// first failure is skipped.
+TEST(ThreadPool, ItemsAfterAFailureAreSkipped) {
+  ThreadPool pool(1);
+  std::vector<int> ran;
+  EXPECT_THROW(pool.run(10,
+                        [&](std::size_t item, unsigned) {
+                          ran.push_back(static_cast<int>(item));
+                          if (item == 3) throw std::runtime_error("stop");
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPool, ZeroItemsIsANoOp) {
+  ThreadPool pool(2);
+  bool called = false;
+  pool.run(0, [&](std::size_t, unsigned) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 }  // namespace

@@ -109,8 +109,8 @@ TEST(Ladder, AttemptsEscalateAndSaturate) {
   EXPECT_EQ(ladder_step_for_attempt(4), LadderStep::kShrinkCsa);
   EXPECT_EQ(ladder_step_for_attempt(5), LadderStep::kShrinkRace);
   EXPECT_EQ(ladder_step_for_attempt(6), LadderStep::kRelaxLimits);
-  EXPECT_EQ(ladder_step_for_attempt(7), LadderStep::kSingleThread);
-  EXPECT_EQ(ladder_step_for_attempt(9), LadderStep::kSingleThread);
+  EXPECT_EQ(ladder_step_for_attempt(7), LadderStep::kRelaxLimits);
+  EXPECT_EQ(ladder_step_for_attempt(9), LadderStep::kRelaxLimits);
 }
 
 TEST(Ladder, StepsAreCumulative) {
@@ -119,7 +119,6 @@ TEST(Ladder, StepsAreCumulative) {
   base.verify_rounds = 16;
   base.mapper.max_width = 5;
   base.mapper.max_height = 8;
-  base.mapper.num_threads = 0;
   base.csa_options.max_states = 4096;
   base.race_options.t_eval = 20.0;
   base.race_options.t_pre = 5.0;
@@ -152,18 +151,13 @@ TEST(Ladder, StepsAreCumulative) {
   EXPECT_EQ(race.mapper.max_width, 5);
 
   const FlowOptions relax = apply_ladder(base, LadderStep::kRelaxLimits);
+  EXPECT_FALSE(relax.exact_equivalence);
+  EXPECT_EQ(relax.verify_rounds, 2);
   EXPECT_EQ(relax.mapper.max_width, 10);
   EXPECT_EQ(relax.mapper.max_height, 16);
   EXPECT_EQ(relax.csa_options.max_states, 256);
   EXPECT_EQ(relax.race_options.t_eval, 0.0);
-
-  const FlowOptions single = apply_ladder(base, LadderStep::kSingleThread);
-  EXPECT_FALSE(single.exact_equivalence);
-  EXPECT_EQ(single.verify_rounds, 2);
-  EXPECT_EQ(single.csa_options.max_states, 256);
-  EXPECT_EQ(single.race_options.t_pre, 0.0);
-  EXPECT_EQ(single.mapper.max_width, 10);
-  EXPECT_EQ(single.mapper.num_threads, 1);
+  EXPECT_EQ(relax.race_options.t_pre, 0.0);
 }
 
 TEST(Ladder, RelaxLimitsCapsAt64) {

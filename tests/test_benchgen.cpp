@@ -312,8 +312,9 @@ TEST(Registry, TableListsAreRegistered) {
 /// The scale suite resolves through the registry but stays OUT of
 /// benchmark_names(): the all-names sweeps above (and the golden-stat /
 /// integration suites) run full flows per name, which must not pick up
-/// 100k–1M-node circuits.  Building the suite is perf_mapper's job; here
-/// we only pin registration and the documented ordering.
+/// 100k–1M-node circuits.  Mapping the suite is perfbench's job (its
+/// scale_map workload); here we only pin registration and the documented
+/// ordering.
 TEST(Registry, ScaleSuiteRegisteredButNotInClassicNames) {
   const std::vector<std::string> scale = scale_circuits();
   ASSERT_FALSE(scale.empty());

@@ -9,6 +9,7 @@
 
 #include "helpers.hpp"
 #include "soidom/batch/runner.hpp"
+#include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/guard/fault.hpp"
 
@@ -174,15 +175,12 @@ TEST(Guarded, TupleBudgetTripsInMapper) {
   EXPECT_TRUE(outcome.partial.unate.has_value());
 }
 
-/// The tuple budget holds under the wavefront-parallel mapper: concurrent
-/// workers charge one shared atomic counter, so a ceiling the sequential
-/// path would trip also trips with N threads, and a generous ceiling that
-/// accounts for retained-arena growth does not.
-TEST(Guarded, TupleBudgetTripsUnderParallelMapping) {
+/// A tight tuple ceiling trips on a random network, and a generous
+/// ceiling that accounts for retained-arena growth does not.
+TEST(Guarded, TupleBudgetTripsOnlyWhenTight) {
   const Network net = testing::random_network(8, 60, 4, 0x7EA9);
   FlowOptions fopts;
   fopts.verify_rounds = 0;
-  fopts.mapper.num_threads = 4;
   GuardOptions gopts;
   gopts.on_infeasible_limits = FallbackAction::kFail;
   gopts.budget.max_tuples = 50;  // raw + retained charges blow past this
@@ -194,6 +192,39 @@ TEST(Guarded, TupleBudgetTripsUnderParallelMapping) {
   gopts.budget.max_tuples = 1u << 22;
   const FlowOutcome fine = run_flow_guarded(net, fopts, gopts);
   EXPECT_TRUE(fine.ok()) << summarize(fine);
+}
+
+/// The mapper checks the installed guard before every node, so a
+/// cancelled token stops the DP pass itself with kCancelled at stage kMap.
+/// (Through run_flow_guarded a pre-cancelled token already trips in
+/// make_unate, before the mapper runs.)
+TEST(Guarded, CancelStopsTheMapperPass) {
+  const UnateResult unate = make_unate(build_benchmark("c8"));
+  CancelToken cancel;
+  cancel.request_cancel();
+  GuardContext guard(Deadline::never(), cancel, ResourceBudget{});
+  GuardScope scope(guard);
+  try {
+    (void)map_to_domino(unate, MapperOptions{});
+    ADD_FAILURE() << "the mapper ignored a cancelled token";
+  } catch (const GuardError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+    EXPECT_EQ(e.stage(), FlowStage::kMap);
+  }
+}
+
+/// A tuple ceiling that a larger circuit crosses partway through the DP
+/// pass (not on its first node) surfaces as a clean kBudgetExceeded
+/// Diagnostic at stage kMap, with the unate network kept as a partial.
+TEST(Guarded, TupleBudgetTripsPartwayThroughMapping) {
+  GuardOptions gopts;
+  gopts.budget.max_tuples = 50;
+  const FlowOutcome outcome =
+      run_flow_guarded(build_benchmark("c8"), FlowOptions{}, gopts);
+  ASSERT_TRUE(outcome.diagnostic.has_value());
+  EXPECT_EQ(outcome.diagnostic->code, ErrorCode::kBudgetExceeded);
+  EXPECT_EQ(outcome.diagnostic->stage, FlowStage::kMap);
+  EXPECT_TRUE(outcome.partial.unate.has_value());
 }
 
 /// Budget accounting includes the retained arena (not just transient raw

@@ -132,20 +132,16 @@ TEST(Fuzz, FlowNeverCrashes) {
 }
 
 TEST(Fuzz, LintIsACleanOracleOnBenchgenCircuits) {
-  // The lint engine as a fuzz oracle: every registered benchmark circuit,
-  // mapped sequentially and wavefront-parallel, must produce a netlist the
-  // full rule catalogue accepts at error severity — an independent
-  // re-derivation of the mapper's structural and PBE obligations.
+  // The lint engine as a fuzz oracle: every registered benchmark circuit
+  // must map to a netlist the full rule catalogue accepts at error
+  // severity — an independent re-derivation of the mapper's structural
+  // and PBE obligations.
   for (const std::string& name : benchmark_names()) {
-    const Network source = build_benchmark(name);
-    for (const int threads : {1, 0}) {
-      FlowOptions options;
-      options.verify_rounds = 0;
-      options.mapper.num_threads = threads;
-      const FlowResult result = run_flow(source, options);
-      EXPECT_TRUE(result.lint.clean(LintSeverity::kError))
-          << name << " threads=" << threads << "\n" << result.lint.to_text();
-    }
+    FlowOptions options;
+    options.verify_rounds = 0;
+    const FlowResult result = run_flow(build_benchmark(name), options);
+    EXPECT_TRUE(result.lint.clean(LintSeverity::kError))
+        << name << "\n" << result.lint.to_text();
   }
 }
 
@@ -159,7 +155,6 @@ TEST(Fuzz, LintIsACleanOracleOnRandomNetworks) {
         5 + static_cast<int>(seed % 4), 30, 3, 0xFA11 + seed);
     FlowOptions options;
     options.verify_rounds = 0;
-    options.mapper.num_threads = seed % 2 == 0 ? 1 : 0;
     const FlowResult result = run_flow(source, options);
     LintOptions lopts;
     lopts.grounding = options.mapper.grounding;

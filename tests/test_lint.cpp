@@ -719,17 +719,12 @@ TEST(LintFlow, PaperTableCircuitsMapAndLintClean) {
     circuits.insert(list.begin(), list.end());
   }
   for (const std::string& name : circuits) {
-    const Network source = build_benchmark(name);
-    for (const int threads : {1, 0}) {  // sequential and hardware-parallel
-      FlowOptions options;
-      options.verify_rounds = 0;
-      options.mapper.num_threads = threads;
-      const FlowResult r = run_flow(source, options);
-      EXPECT_TRUE(r.lint.clean(LintSeverity::kError))
-          << name << " threads=" << threads << "\n"
-          << r.lint.to_text();
-      EXPECT_TRUE(r.structure.ok()) << name;
-    }
+    FlowOptions options;
+    options.verify_rounds = 0;
+    const FlowResult r = run_flow(build_benchmark(name), options);
+    EXPECT_TRUE(r.lint.clean(LintSeverity::kError))
+        << name << "\n" << r.lint.to_text();
+    EXPECT_TRUE(r.structure.ok()) << name;
   }
 }
 

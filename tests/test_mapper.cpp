@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
 
 #include "helpers.hpp"
+#include "soidom/base/hash.hpp"
+#include "soidom/benchgen/generators.hpp"
+#include "soidom/benchgen/registry.hpp"
+#include "soidom/blif/blif.hpp"
+#include "soidom/core/flow.hpp"
 #include "soidom/domino/postpass.hpp"
+#include "soidom/domino/serialize.hpp"
 #include "soidom/domino/stats.hpp"
 #include "soidom/domino/verify.hpp"
 #include "soidom/mapper/mapper.hpp"
@@ -363,6 +372,206 @@ TEST(Mapper, FootednessMatchesLeaves) {
     }
     EXPECT_EQ(g.footed, has_input);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned netlists and determinism.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a of each mapped netlist's .dnl text.  The registry entries use
+/// default FlowOptions; the generated networks run under every
+/// FlowVariant and under SOI with complex gates.  The values were recorded
+/// while networks above 4096 AND/OR nodes still went through a
+/// multi-threaded task-graph DP, so they also pin that the serial pass
+/// realizes the same netlists.
+const std::map<std::string, std::uint64_t>& pinned_dnl_hashes() {
+  static const std::map<std::string, std::uint64_t> pins = {
+      {"cm150", 0x127d15682aea652bull},
+      {"mux", 0x62460dfd3a4cc252ull},
+      {"z4ml", 0xcf00b1d4389a0a6full},
+      {"cordic", 0xbe6666381783a10cull},
+      {"f51m", 0x271bff08a574f105ull},
+      {"count", 0x3c4998704a14f98aull},
+      {"c880", 0xc975060dacea0b45ull},
+      {"dalu", 0xbd5910ec1c0864ccull},
+      {"c3540", 0x92005c01108146d9ull},
+      {"9symml", 0x231ad368cad7f1adull},
+      {"t481", 0x6e86218b17f11d0eull},
+      {"c499", 0xc257d1e42827bf4aull},
+      {"c1355", 0xc257d1e42827bf4aull},
+      {"c1908", 0x0a25bcc473764369ull},
+      {"c6288", 0xb135140ac9dc1a6dull},
+      {"decod", 0x131069afe6ffb0e9ull},
+      {"c432", 0xa5788167fc6fe7f1ull},
+      {"rot", 0x9d4be52011b717dcull},
+      {"des", 0xc1c84b0c9bbdbd67ull},
+      {"i6", 0xf7c761e9a84fded8ull},
+      {"frg1", 0xc317df9200382bffull},
+      {"b9", 0x3edb3a7012742dcbull},
+      {"c8", 0x600576810ee90006ull},
+      {"x1", 0x5eb20d68ec219d35ull},
+      {"apex7", 0xb925ee15ca36dddaull},
+      {"apex6", 0xa5d8449af84ebc5eull},
+      {"k2", 0xfe1e978e5c9e2c1cull},
+      {"c2670", 0xfb31d9f2e305f5b7ull},
+      {"c5315", 0xb782e157415b81cbull},
+      {"c7552", 0x807fb031a408477cull},
+      {"mult24/domino", 0x85f0769cdc33786dull},
+      {"mult24/rs", 0x85f0769cdc33786dull},
+      {"mult24/soi", 0x1c991505ffd753c8ull},
+      {"mult24/soi+complex", 0x1c991505ffd753c8ull},
+      {"dag128x40/domino", 0x198b01193843a11cull},
+      {"dag128x40/rs", 0x1bf7b05613234fc3ull},
+      {"dag128x40/soi", 0xeb18bf380c69d0c5ull},
+      {"dag128x40/soi+complex", 0x2c02ba4d3653670eull},
+      {"spn66x8/domino", 0x58ab287262a4f5b6ull},
+      {"spn66x8/rs", 0xd0999ccb9e806cf8ull},
+      {"spn66x8/soi", 0x207642b39ec66bfdull},
+      {"spn66x8/soi+complex", 0xed019b9a87520131ull},
+  };
+  return pins;
+}
+
+void expect_pinned(const std::string& key, const FlowResult& result) {
+  const auto& pins = pinned_dnl_hashes();
+  const auto it = pins.find(key);
+  ASSERT_NE(it, pins.end()) << "no pinned hash for " << key;
+  EXPECT_EQ(fnv1a64(write_dnl(result.netlist)), it->second) << key;
+}
+
+TEST(Mapper, NetlistsArePinned) {
+  for (const std::string& name : benchmark_names()) {
+    FlowOptions options;
+    options.verify_rounds = 0;
+    expect_pinned(name, run_flow(build_benchmark(name), options));
+  }
+
+  struct Generated {
+    const char* name;
+    Network net;
+  };
+  // mult24's DP costs overflow int64 (DESIGN.md section 8), so a
+  // -fsanitize=undefined build stops on it.
+  const Generated generated[] = {
+      {"mult24", gen_multiplier(24)},
+      {"dag128x40", gen_layered_dag(128, 40, 85, 0x7E57)},
+      {"spn66x8", gen_spn(66, 8, 0x5B0C)},
+  };
+  for (const Generated& g : generated) {
+    const UnateResult unate = make_unate(g.net);
+    EXPECT_GT(nodes_of_kind(unate.net, NodeKind::kAnd).size() +
+                  nodes_of_kind(unate.net, NodeKind::kOr).size(),
+              4096u)
+        << g.name << " is too small to pin the large-network path";
+    const std::string name = g.name;
+    for (const auto& [tag, variant] :
+         {std::pair{"domino", FlowVariant::kDominoMap},
+          std::pair{"rs", FlowVariant::kRsMap},
+          std::pair{"soi", FlowVariant::kSoiDominoMap}}) {
+      FlowOptions options;
+      options.verify_rounds = 0;
+      options.variant = variant;
+      expect_pinned(name + "/" + tag, run_flow(g.net, options));
+    }
+    FlowOptions complex;
+    complex.verify_rounds = 0;
+    complex.mapper.enable_complex_gates = true;
+    expect_pinned(name + "/soi+complex", run_flow(g.net, complex));
+  }
+}
+
+std::string map_blif(const std::string& text, bool exhaustive) {
+  FlowOptions opts;
+  opts.verify_rounds = 0;
+  opts.mapper.exhaustive_ordering = exhaustive;
+  return write_dnl(run_flow(parse_blif(text), opts).netlist);
+}
+
+/// Permuting the fanin columns of a .names cover must not change the
+/// realized netlist: the builder canonicalizes commutative fanins and the
+/// mapper's operand-placement tie-breaks do not depend on textual order.
+TEST(Mapper, PermutedFaninBlifRealizesIdenticalNetlists) {
+  const std::string base =
+      ".model perm\n"
+      ".inputs a b c d e\n"
+      ".outputs y z\n"
+      ".names a b t1\n11 1\n"
+      ".names c d t2\n11 1\n"
+      ".names t1 t2 y\n10 1\n01 1\n11 1\n"
+      ".names t1 e z\n11 1\n"
+      ".end\n";
+  const std::string permuted =
+      ".model perm\n"
+      ".inputs a b c d e\n"
+      ".outputs y z\n"
+      ".names b a t1\n11 1\n"        // fanin columns swapped
+      ".names d c t2\n11 1\n"
+      ".names t1 t2 y\n10 1\n01 1\n11 1\n"
+      ".names e t1 z\n11 1\n"        // fanin columns swapped
+      ".end\n";
+  for (const bool exhaustive : {true, false}) {
+    EXPECT_EQ(map_blif(base, exhaustive), map_blif(permuted, exhaustive))
+        << "exhaustive_ordering=" << exhaustive;
+  }
+}
+
+/// The second_goes_bottom p_total tie is broken by candidate content (and
+/// only then by reference key), not fanin textual order: under the
+/// non-exhaustive heuristic, mapping is a pure function of the network.
+TEST(Mapper, HeuristicPlacementIsDeterministic) {
+  const Network net = testing::random_network(8, 40, 4, 0xC0FFEE);
+  FlowOptions opts;
+  opts.verify_rounds = 0;
+  opts.mapper.exhaustive_ordering = false;
+  const FlowResult a = run_flow(net, opts);
+  const FlowResult b = run_flow(net, opts);
+  EXPECT_EQ(write_dnl(a.netlist), write_dnl(b.netlist));
+}
+
+/// map() is memoized: the second call returns the identical (non-empty)
+/// result instead of a silently empty netlist, and the DP introspection
+/// (tuples_of / gate_cost_of) keeps working after realization.
+TEST(Mapper, OracleMapIsMemoizedAndReentrant) {
+  const UnateResult unate = make_unate(testing::full_adder_network());
+  const TupleOracle oracle(unate, MapperOptions{});
+  const MappingResult first = oracle.map();
+  ASSERT_FALSE(first.netlist.gates().empty());
+  const MappingResult second = oracle.map();
+  EXPECT_EQ(write_dnl(first.netlist), write_dnl(second.netlist));
+  EXPECT_EQ(first.predicted_cost, second.predicted_cost);
+  EXPECT_EQ(first.candidates_retained, second.candidates_retained);
+
+  // tuples_of after map(): same tuples an un-realized oracle reports.
+  const TupleOracle fresh(unate, MapperOptions{});
+  for (std::uint32_t i = 2; i < unate.net.size(); ++i) {
+    const NodeId id{i};
+    if (unate.net.kind(id) != NodeKind::kAnd &&
+        unate.net.kind(id) != NodeKind::kOr) {
+      continue;
+    }
+    const auto after = oracle.tuples_of(id);
+    const auto before = fresh.tuples_of(id);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t k = 0; k < after.size(); ++k) {
+      EXPECT_EQ(after[k].width, before[k].width);
+      EXPECT_EQ(after[k].height, before[k].height);
+      EXPECT_EQ(after[k].committed, before[k].committed);
+    }
+  }
+}
+
+/// The DP effort counters are populated and consistent.
+TEST(Mapper, EffortCountersPopulated) {
+  const UnateResult unate = make_unate(build_benchmark("z4ml"));
+  const MappingResult r = map_to_domino(unate, MapperOptions{});
+  EXPECT_GT(r.candidates_examined, 0u);
+  EXPECT_GT(r.candidates_retained, 0u);
+  EXPECT_GT(r.dp_levels, 0);
+  EXPECT_LE(r.candidates_retained, r.candidates_examined +
+                                       unate.net.size() /* leaves + gates */);
+  // The DP is one serial pass.
+  EXPECT_EQ(r.dp_tasks, 0);
+  EXPECT_EQ(r.threads_used, 1);
 }
 
 }  // namespace

@@ -452,7 +452,20 @@ TEST(RaceFlow, BadOptionsRejectedByValidate) {
 // Determinism across thread counts.
 
 TEST(RaceDeterminism, ReportAndSarifByteIdenticalAcrossThreads) {
-  for (const char* name : {"cm150", "9symml"}) {
+  // Two small circuits with tight windows, and the largest paper-suite
+  // circuits (many gates and levels, so the per-gate work really spreads
+  // over the pool) with tight-but-passable ones.
+  struct Case {
+    const char* name;
+    double t_eval, t_pre, skew, margin;
+  };
+  for (const Case& c : {Case{"cm150", 20.0, 5.0, 0.25, 2.0},
+                        Case{"9symml", 20.0, 5.0, 0.25, 2.0},
+                        Case{"c1908", 40.0, 10.0, 0.3, 1.0},
+                        Case{"c5315", 40.0, 10.0, 0.3, 1.0},
+                        Case{"c7552", 40.0, 10.0, 0.3, 1.0},
+                        Case{"k2", 40.0, 10.0, 0.3, 1.0}}) {
+    const char* name = c.name;
     FlowOptions flow;
     flow.verify_rounds = 0;
     const FlowResult mapped = run_flow(build_benchmark(name), flow);
@@ -461,10 +474,10 @@ TEST(RaceDeterminism, ReportAndSarifByteIdenticalAcrossThreads) {
     for (const int threads : {1, 2, 4, 0}) {
       RaceOptions opts;
       opts.num_threads = threads;
-      opts.t_eval = 20.0;
-      opts.t_pre = 5.0;
-      opts.skew = 0.25;
-      opts.margin = 2.0;
+      opts.t_eval = c.t_eval;
+      opts.t_pre = c.t_pre;
+      opts.skew = c.skew;
+      opts.margin = c.margin;
       const RaceResult r = run_race(mapped.netlist, opts);
       const std::string json = r.report.to_json();
       const std::string sarif = r.lint.to_sarif("x.circuit");
@@ -482,13 +495,12 @@ TEST(RaceDeterminism, ReportAndSarifByteIdenticalAcrossThreads) {
 TEST(RaceDeterminism, ScaleCircuitAllAnalyzersByteIdenticalAcrossThreads) {
   // benchgen scale circuit (not a paper fixture): the full analyzer
   // stack — flow lint, CSA, race — must serialize identically whatever
-  // thread counts the mapper and the analyzers run at.
+  // thread counts the analyzers run at.
   const Network source = gen_layered_dag(12, 6, 80, 0xb0d1e5);
   std::string reference;
   for (const int threads : {1, 2, 4, 0}) {
     FlowOptions options;
     options.verify_rounds = 0;
-    options.mapper.num_threads = threads;
     options.csa = true;
     options.csa_options.num_threads = threads;
     options.race = true;
