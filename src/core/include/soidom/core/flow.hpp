@@ -168,9 +168,11 @@ struct GuardOptions {
   /// Simulation rounds used by kFallbackSimulation when verify_rounds == 0.
   int fallback_sim_rounds = 8;
 
-  /// Copy completed stage results into FlowOutcome::partial so a failing
-  /// flow still yields whatever finished.  Off in strict() to keep
-  /// run_flow overhead-free.
+  /// When a stage fails, move the stage results that finished before it
+  /// into FlowOutcome::partial, so a failing flow still yields them.  A
+  /// flow that gets through captures nothing (its results are in
+  /// FlowOutcome::result), so this never costs a copy.  Off in strict():
+  /// run_flow has no outcome to hold partials.
   bool capture_partials = true;
 
   /// No fallbacks, no partial capture: the exception-compatible behavior
@@ -184,8 +186,9 @@ struct GuardOptions {
   }
 };
 
-/// Stage results that completed before a failure (populated when
-/// GuardOptions::capture_partials).
+/// Stage results that completed before a failing stage, moved here when
+/// GuardOptions::capture_partials.  Empty whenever FlowOutcome::result is
+/// set, including verification mismatches, whose netlist is in `result`.
 struct FlowPartial {
   std::optional<Network> decomposed;  ///< BLIF / file entry points only
   std::optional<UnateResult> unate;

@@ -37,19 +37,25 @@ Diagnostic warning_from(const GuardError& e, const std::string& note) {
   return d;
 }
 
-/// The stage sequence shared by every entry point.  Fills out.result on
-/// success (plus out.diagnostic for verification mismatches); failures
-/// propagate as exceptions for the entry points to convert.
-void run_stages(const Network& source, const FlowOptions& options,
-                const GuardOptions& gopts, GuardContext& guard,
-                FlowOutcome& out) {
+/// Which of FlowResult's stage results a run has finished so far.
+struct Completed {
+  bool unate = false;
+  bool netlist = false;
+};
+
+/// The stage sequence shared by every entry point.  Fills `result` (plus
+/// out.diagnostic for verification mismatches); failures propagate as
+/// exceptions for the entry points to convert.
+void run_stage_sequence(const Network& source, const FlowOptions& options,
+                        const GuardOptions& gopts, GuardContext& guard,
+                        FlowOutcome& out, FlowResult& result,
+                        Completed& completed) {
   enter(guard, FlowStage::kValidate);
   validate(options);
 
   enter(guard, FlowStage::kUnate);
-  FlowResult result;
   result.unate = make_unate(source, options.phase_assignment);
-  if (gopts.capture_partials) out.partial.unate = result.unate;
+  completed.unate = true;
 
   enter(guard, FlowStage::kMap);
   MapperOptions mopts = options.mapper;
@@ -117,7 +123,7 @@ void run_stages(const Network& source, const FlowOptions& options,
   }
 
   result.stats = compute_stats(result.netlist);
-  if (gopts.capture_partials) out.partial.netlist = result.netlist;
+  completed.netlist = true;
 
   // Structural checks now run through the lint engine; the historical
   // kVerifyStructure probe point is kept for fault-injection coverage and
@@ -315,7 +321,41 @@ void run_stages(const Network& source, const FlowOptions& options,
   }
 
   guard.set_stage(FlowStage::kNone);
+}
+
+/// run_stage_sequence into out.result.  When a stage throws, the results
+/// finished before it move into out.partial (GuardOptions::
+/// capture_partials), so a run that succeeds copies nothing.
+void run_stages(const Network& source, const FlowOptions& options,
+                const GuardOptions& gopts, GuardContext& guard,
+                FlowOutcome& out) {
+  FlowResult result;
+  Completed completed;
+  try {
+    run_stage_sequence(source, options, gopts, guard, out, result, completed);
+  } catch (...) {
+    if (gopts.capture_partials) {
+      if (completed.unate) out.partial.unate = std::move(result.unate);
+      if (completed.netlist) out.partial.netlist = std::move(result.netlist);
+    }
+    throw;
+  }
   out.result = std::move(result);
+}
+
+/// Decompose `model`, then run_stages; when a later stage throws, the
+/// decomposed network moves into out.partial as well.
+void run_decomposed(const BlifModel& model, const FlowOptions& options,
+                    const GuardOptions& gopts, GuardContext& guard,
+                    FlowOutcome& out) {
+  enter(guard, FlowStage::kDecompose);
+  Network net = decompose(model, options.decompose);
+  try {
+    run_stages(net, options, gopts, guard, out);
+  } catch (...) {
+    if (gopts.capture_partials) out.partial.decomposed = std::move(net);
+    throw;
+  }
 }
 
 /// Install a guard, run `body`, convert any escaping exception into a
@@ -431,10 +471,7 @@ FlowOutcome run_flow_guarded(const BlifModel& model, const FlowOptions& options,
       guard_options, [&](GuardContext& guard, FlowOutcome& out) {
         enter(guard, FlowStage::kValidate);
         validate(options);
-        enter(guard, FlowStage::kDecompose);
-        const Network net = decompose(model, options.decompose);
-        if (guard_options.capture_partials) out.partial.decomposed = net;
-        run_stages(net, options, guard_options, guard, out);
+        run_decomposed(model, options, guard_options, guard, out);
       });
 }
 
@@ -446,10 +483,7 @@ FlowOutcome run_flow_guarded_file(const std::string& path,
         enter(guard, FlowStage::kParse);
         SOIDOM_FAULT_PROBE(FlowStage::kParse);
         const BlifModel model = parse_blif_file(path);
-        enter(guard, FlowStage::kDecompose);
-        const Network net = decompose(model, options.decompose);
-        if (guard_options.capture_partials) out.partial.decomposed = net;
-        run_stages(net, options, guard_options, guard, out);
+        run_decomposed(model, options, guard_options, guard, out);
       });
 }
 

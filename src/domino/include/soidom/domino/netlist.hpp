@@ -73,13 +73,17 @@ struct DominoGate {
     return precharges + (footed ? 1 : 0) + (dual() && footed2 ? 1 : 0) +
            static_cast<int>(discharges.size() + discharges2.size());
   }
-  /// All input signals, both pulldowns.
+  /// Calls `fn(signal)` for every input signal: pdn's leaves, then
+  /// pdn2's (Pdn::for_each_leaf order; a classic gate's pdn2 is empty).
+  template <typename Fn>
+  void for_each_leaf(Fn&& fn) const {
+    pdn.for_each_leaf(fn);
+    pdn2.for_each_leaf(fn);
+  }
+  /// All input signals, both pulldowns, in for_each_leaf order.
   std::vector<std::uint32_t> all_leaf_signals() const {
-    std::vector<std::uint32_t> out = pdn.leaf_signals();
-    if (dual()) {
-      const auto second = pdn2.leaf_signals();
-      out.insert(out.end(), second.begin(), second.end());
-    }
+    std::vector<std::uint32_t> out;
+    for_each_leaf([&](std::uint32_t signal) { out.push_back(signal); });
     return out;
   }
 };

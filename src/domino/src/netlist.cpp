@@ -35,11 +35,11 @@ std::vector<int> DominoNetlist::gate_levels() const {
   std::vector<int> level(gates_.size(), 1);
   for (std::size_t g = 0; g < gates_.size(); ++g) {
     int lv = 1;
-    for (const std::uint32_t sig : gates_[g].all_leaf_signals()) {
+    gates_[g].for_each_leaf([&](std::uint32_t sig) {
       if (!is_input_signal(sig)) {
         lv = std::max(lv, 1 + level[gate_of_signal(sig)]);
       }
-    }
+    });
     level[g] = lv;
   }
   return level;

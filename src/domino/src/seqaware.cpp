@@ -135,9 +135,9 @@ template <typename Use>
 auto with_signal_conditions(const DominoNetlist& netlist, const Pdn& pdn,
                             Use&& use) {
   std::unordered_map<std::uint32_t, unsigned> var_of;
-  for (const std::uint32_t sig : pdn.leaf_signals()) {
+  pdn.for_each_leaf([&](std::uint32_t sig) {
     var_of.try_emplace(sig, static_cast<unsigned>(var_of.size()));
-  }
+  });
   BddManager manager(static_cast<unsigned>(var_of.size()),
                      /*node_limit=*/1u << 20);
   const PdnConditions conditions(

@@ -96,8 +96,8 @@ class TopoOrderRule final : public LintRule {
         netlist.num_inputs() + netlist.gates().size());
     for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
       for_each_pdn(context, g, [&](const PdnView& view) {
-        for (const std::uint32_t sig : view.pdn.leaf_signals()) {
-          if (netlist.is_input_signal(sig) || sig >= defined) continue;
+        view.pdn.for_each_leaf([&](std::uint32_t sig) {
+          if (netlist.is_input_signal(sig) || sig >= defined) return;
           const std::uint32_t other = netlist.gate_of_signal(sig);
           if (other >= g) {
             out.push_back(make(
@@ -106,7 +106,7 @@ class TopoOrderRule final : public LintRule {
                        "topologically ordered",
                        other)));
           }
-        }
+        });
       });
     }
   }
@@ -129,12 +129,12 @@ class DanglingRefRule final : public LintRule {
     for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
       const DominoGate& gate = netlist.gates()[g];
       for_each_pdn(context, g, [&](const PdnView& view) {
-        for (const std::uint32_t sig : view.pdn.leaf_signals()) {
+        view.pdn.for_each_leaf([&](std::uint32_t sig) {
           if (sig >= defined) {
             out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
                                format("references undefined signal %u", sig)));
           }
-        }
+        });
         for (const DischargePoint& p : view.discharges) {
           if (p.at_bottom()) continue;
           if (p.series_node >= view.pdn.pool_size()) {
@@ -206,9 +206,9 @@ class FootednessRule final : public LintRule {
       const DominoGate& gate = netlist.gates()[g];
       for_each_pdn(context, g, [&](const PdnView& view) {
         bool has_input_leaf = false;
-        for (const std::uint32_t sig : view.pdn.leaf_signals()) {
+        view.pdn.for_each_leaf([&](std::uint32_t sig) {
           if (netlist.is_input_signal(sig)) has_input_leaf = true;
-        }
+        });
         if (view.footed != has_input_leaf) {
           out.push_back(make(
               LintSeverity::kError, at_gate(g, view.which),
@@ -358,7 +358,13 @@ class OverheadCountRule final : public LintRule {
       int leaves = 0;
       int feet = 0;
       for_each_pdn(context, g, [&](const PdnView& view) {
-        leaves += static_cast<int>(view.pdn.leaf_signals().size());
+        view.pdn.for_each_leaf([&](std::uint32_t sig) {
+          ++leaves;
+          if (!netlist.is_input_signal(sig)) {
+            const std::uint32_t other = netlist.gate_of_signal(sig);
+            level[g] = std::max(level[g], 1 + level[other]);
+          }
+        });
         feet += view.footed ? 1 : 0;
         expect.t_disch += static_cast<int>(view.discharges.size());
         // Duplicate points double-count in every transistor budget.
@@ -372,12 +378,6 @@ class OverheadCountRule final : public LintRule {
                         canonical_point_label(view.pdn, view.discharges[i])),
                 "duplicate discharge transistor at the same point",
                 "remove the duplicate"));
-          }
-        }
-        for (const std::uint32_t sig : view.pdn.leaf_signals()) {
-          if (!netlist.is_input_signal(sig)) {
-            const std::uint32_t other = netlist.gate_of_signal(sig);
-            level[g] = std::max(level[g], 1 + level[other]);
           }
         }
       });
@@ -545,9 +545,7 @@ class UnusedLogicRule final : public LintRule {
     std::vector<bool> consumed(netlist.num_inputs() + netlist.gates().size(),
                                false);
     for (const DominoGate& gate : netlist.gates()) {
-      for (const std::uint32_t sig : gate.all_leaf_signals()) {
-        consumed[sig] = true;
-      }
+      gate.for_each_leaf([&](std::uint32_t sig) { consumed[sig] = true; });
     }
     for (const DominoOutput& o : netlist.outputs()) {
       if (o.constant < 0) consumed[o.signal] = true;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <tuple>
 
 #include "soidom/base/contracts.hpp"
@@ -33,9 +35,9 @@ struct CandRef {
 };
 
 /// A DP candidate: one partial pulldown structure.  See mapper.hpp for the
-/// field semantics.  Candidates live in per-node survivor sets and
-/// reference their construction children by CandRef, so realization can
-/// rebuild the exact series/parallel tree the DP priced.
+/// field semantics.  Candidates live in per-node survivor ranges of one
+/// arena and reference their construction children by CandRef, so
+/// realization can rebuild the exact series/parallel tree the DP priced.
 struct Cand {
   enum class Op : std::uint8_t { kInputLeaf, kGateLeaf, kSeries, kParallel };
 
@@ -61,8 +63,8 @@ struct Cand {
 /// The DP is one bottom-up pass over the AND/OR nodes in id order.  Ids
 /// are a topological order and a node's tuple set depends only on its two
 /// fanins, so every node is mapped after both of them.  Each node's
-/// surviving candidates are written into its own slot and refer to their
-/// children by CandRef keys.
+/// surviving candidates are appended to one arena as the node's own range
+/// and refer to their children by CandRef keys.
 class MapperImpl {
  public:
   MapperImpl(const UnateResult& unate, const MapperOptions& opts)
@@ -141,7 +143,7 @@ class MapperImpl {
       const NodeKind kind = net_.kind(NodeId{i});
       if (kind != NodeKind::kAnd && kind != NodeKind::kOr) continue;
       process_node(NodeId{i});
-      candidates_retained_ += survivors_[i].size() + 1;  // + gate leaf
+      candidates_retained_ += survivors_[i].count + 1;  // + gate leaf
       const auto level = static_cast<std::size_t>(level_[i]);
       if (level >= level_used.size()) level_used.resize(level + 1, 0);
       level_used[level] = 1;
@@ -151,7 +153,9 @@ class MapperImpl {
     scratch_ = Scratch{};
   }
 
-  MappingResult run() {
+  /// Maps once; later calls return the same result, which the caller may
+  /// copy (TupleOracle::map) or move out (map_to_domino).
+  MappingResult& run() {
     if (ran_) return result_;
     ran_ = true;
     run_dp();
@@ -196,7 +200,7 @@ class MapperImpl {
                        net_.kind(node) == NodeKind::kOr,
                    "tuples_of: node is not an AND/OR gate");
     std::vector<TupleInfo> out;
-    for (const Cand& c : survivors_[node.value]) {
+    for (const Cand& c : survivors_of(node.value)) {
       out.push_back(info_of(c));
     }
     out.push_back(info_of(gate_leaf_[node.value]));
@@ -236,15 +240,20 @@ class MapperImpl {
 
   // --- candidate references ----------------------------------------------
 
+  std::span<const Cand> survivors_of(std::uint32_t node) const {
+    const SurvivorRange r = survivors_[node];
+    return {arena_.data() + r.begin, r.count};
+  }
+
   const Cand& deref(CandRef r) const {
     SOIDOM_ASSERT(r.valid());
     if (net_.kind(NodeId{r.node}) == NodeKind::kPi) return pi_leaf_[r.node];
-    const std::vector<Cand>& s = survivors_[r.node];
-    return r.local < s.size() ? s[r.local] : gate_leaf_[r.node];
+    const SurvivorRange s = survivors_[r.node];
+    return r.local < s.count ? arena_[s.begin + r.local] : gate_leaf_[r.node];
   }
 
   CandRef gate_leaf_ref(std::uint32_t node) const {
-    return CandRef{node, static_cast<std::uint32_t>(survivors_[node].size())};
+    return CandRef{node, survivors_[node].count};
   }
 
   /// Three-way compare in the legacy arena-append order: level-major,
@@ -451,7 +460,7 @@ class MapperImpl {
       out.push_back(gate_leaf_ref(child.value));
       return;
     }
-    const std::size_t n = survivors_[child.value].size();
+    const std::uint32_t n = survivors_[child.value].count;
     for (std::uint32_t k = 0; k < n; ++k) {
       out.push_back(CandRef{child.value, k});
     }
@@ -538,10 +547,12 @@ class MapperImpl {
       bucket.push_back(c);
     }
 
-    // Beam-cap each shape and emit survivors in canonical (W, H) order,
-    // directly into the node's own slot.
-    std::vector<Cand>& out = survivors_[id.value];
-    SOIDOM_ASSERT(out.empty());
+    // Beam-cap each shape and append survivors in canonical (W, H) order
+    // to the arena as the node's own range.  A written range is never
+    // empty (raw is not), so a zero count means not yet written.
+    SurvivorRange& range = survivors_[id.value];
+    SOIDOM_ASSERT(range.count == 0);
+    range.begin = static_cast<std::uint32_t>(arena_.size());
     std::sort(scratch.touched.begin(), scratch.touched.end());
     for (const std::uint32_t cell : scratch.touched) {
       std::vector<Cand>& bucket = scratch.cells[cell];
@@ -549,10 +560,13 @@ class MapperImpl {
                 [&](const Cand& a, const Cand& b) { return cand_less(a, b); });
       const std::size_t keep =
           std::min(bucket.size(), static_cast<std::size_t>(opts_.beam_width));
-      out.insert(out.end(), bucket.begin(), bucket.begin() + keep);
+      arena_.insert(arena_.end(), bucket.begin(), bucket.begin() + keep);
       bucket.clear();
     }
     scratch.touched.clear();
+    SOIDOM_ASSERT(arena_.size() <= std::numeric_limits<std::uint32_t>::max());
+    range.count = static_cast<std::uint32_t>(arena_.size() - range.begin);
+    const std::span<const Cand> out = survivors_of(id.value);
 
     // Gate formation: pick the best candidate under the objective.
     std::int32_t best_local = -1;
@@ -688,9 +702,9 @@ class MapperImpl {
     // Cross-check footedness against the realized leaves, per pulldown.
     auto check_feet = [&](const Pdn& pdn, bool footed_flag) {
       bool has_input_leaf = false;
-      for (const std::uint32_t sig : pdn.leaf_signals()) {
+      pdn.for_each_leaf([&](std::uint32_t sig) {
         if (netlist_.is_input_signal(sig)) has_input_leaf = true;
-      }
+      });
       SOIDOM_ASSERT_MSG(has_input_leaf == footed_flag,
                         "DP footedness disagrees with realized leaves");
     };
@@ -752,9 +766,16 @@ class MapperImpl {
 
   GuardContext* guard_ = nullptr;  ///< owning flow's guard, or nullptr
 
+  /// A node's survivors: `count` candidates of `arena_` from `begin`.
+  struct SurvivorRange {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
   // Per-node DP state, indexed by unate node id.  An AND/OR node's slots
   // are written once, when the pass reaches it.
-  std::vector<std::vector<Cand>> survivors_;
+  std::vector<SurvivorRange> survivors_;
+  std::vector<Cand> arena_;  ///< every node's survivors, in id order
   std::vector<Cand> gate_leaf_;
   std::vector<Cand> pi_leaf_;
   std::vector<std::int32_t> gate_best_local_;
@@ -804,7 +825,8 @@ MappingResult map_to_domino(const UnateResult& unate,
                             const MapperOptions& options) {
   StageScope stage(FlowStage::kMap);
   SOIDOM_FAULT_PROBE(FlowStage::kMap);
-  return MapperImpl(unate, options).run();
+  MapperImpl mapper(unate, options);
+  return std::move(mapper.run());
 }
 
 struct TupleOracle::Impl {

@@ -11,6 +11,11 @@
 ///
 /// Leaves carry an opaque 32-bit signal id; the owner (domino::DominoGate)
 /// defines its meaning (unate-network PI literal or another gate's output).
+///
+/// Two recursions walk a tree for everyone else: `fold` is the one
+/// conduction recursion (every domain a pulldown is evaluated in) and
+/// `for_each_leaf` is the one leaf-order walk (`leaf_signals` wraps it).
+/// Neither allocates.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +75,24 @@ class Pdn {
   int transistor_count() const;
   int transistor_count_of(PdnIndex i) const;
 
-  /// All leaf signals in top-to-bottom, left-to-right order.
+  /// The one leaf-order walk: calls `fn(signal)` for every leaf, top to
+  /// bottom and left to right, without allocating.  An empty tree has no
+  /// leaves.
+  template <typename Fn>
+  void for_each_leaf(Fn&& fn) const {
+    if (empty()) return;
+    const auto at = [&](const auto& self, PdnIndex i) -> void {
+      const PdnNode& n = node(i);
+      if (n.kind == PdnKind::kLeaf) {
+        fn(n.signal);
+        return;
+      }
+      for (const PdnIndex c : n.children) self(self, c);
+    };
+    at(at, root_);
+  }
+
+  /// All leaf signals in for_each_leaf order.
   std::vector<std::uint32_t> leaf_signals() const;
 
   /// The one conduction recursion over the tree, shared by every domain a

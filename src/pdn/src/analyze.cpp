@@ -7,11 +7,10 @@
 namespace soidom {
 namespace {
 
-struct SubResult {
-  std::vector<DischargePoint> pending;
-  bool par_b = false;
-};
-
+/// One recursion over the tree with every pending point on one stack: a
+/// subtree's pending points are the stack entries it pushed, a contiguous
+/// range above the entries pushed before it.  Committing a range moves it
+/// into `required_` and truncates the stack.
 class Analyzer {
  public:
   Analyzer(const Pdn& pdn, PendingModel model) : pdn_(pdn), model_(model) {}
@@ -19,21 +18,20 @@ class Analyzer {
   PbeAnalysis run(bool bottom_grounded) {
     PbeAnalysis out;
     if (pdn_.empty()) return out;
-    SubResult root = analyze(pdn_.root());
-    out.par_b_root = root.par_b;
+    const bool par_b = analyze(pdn_.root());
+    out.par_b_root = par_b;
     if (!bottom_grounded) {
       const bool commit_root =
-          model_ == PendingModel::kPaperLiteral || root.par_b;
+          model_ == PendingModel::kPaperLiteral || par_b;
       if (commit_root) {
         // All pending points commit; a parallel bottom additionally needs
         // its bottom node discharged.
-        for (const DischargePoint& p : root.pending) required_.push_back(p);
-        if (root.par_b) required_.push_back(DischargePoint{});  // bottom
-        root.pending.clear();
+        commit(0);
+        if (par_b) required_.push_back(DischargePoint{});  // bottom
       }
     }
     out.required = std::move(required_);
-    out.pending_at_root = std::move(root.pending);
+    out.pending_at_root = std::move(pending_);
     // Deterministic order for comparisons.
     auto key = [](const DischargePoint& p) {
       return (static_cast<std::uint64_t>(p.series_node) << 32) | p.pos;
@@ -46,66 +44,56 @@ class Analyzer {
   }
 
  private:
-  SubResult analyze(PdnIndex i) {
+  /// Pushes the subtree's pending points; returns whether its bottom is a
+  /// parallel stack.
+  bool analyze(PdnIndex i) {
     const PdnNode& n = pdn_.node(i);
     switch (n.kind) {
       case PdnKind::kLeaf:
-        return {};
-      case PdnKind::kParallel: {
-        // Branch bottoms merge into this node's bottom; branch-internal
-        // pending points become pending points of the parallel structure.
-        SubResult out;
-        out.par_b = true;
-        for (const PdnIndex c : n.children) {
-          SubResult sub = analyze(c);
-          // A parallel child would have been flattened away; a branch with
-          // par_b could only arise from an unnormalized tree.
-          for (DischargePoint& p : sub.pending) {
-            out.pending.push_back(p);
-          }
-          if (sub.par_b) {
-            // Nested parallel directly under parallel (non-normalized):
-            // treat its bottom as merged with ours — nothing extra.
-          }
-        }
-        return out;
-      }
+        return false;
+      case PdnKind::kParallel:
+        // Branch bottoms merge into this node's bottom (also for a
+        // parallel branch, which only an unnormalized tree has);
+        // branch-internal pending points become pending points of the
+        // parallel structure.
+        for (const PdnIndex c : n.children) analyze(c);
+        return true;
       case PdnKind::kSeries: {
         // Fold bottom-up: start with the bottom child, stack the others on
-        // top one at a time (mirrors the mapper's combine_and).
+        // top one at a time (mirrors the mapper's combine_and).  par_b of
+        // the growing stack stays that of the bottom child.
         const std::size_t k = n.children.size();
-        SubResult acc = analyze(n.children[k - 1]);
+        const bool par_b = analyze(n.children[k - 1]);
         for (std::size_t t = k - 1; t-- > 0;) {
-          const SubResult top = analyze(n.children[t]);
+          const std::size_t top_begin = pending_.size();
+          const bool top_par_b = analyze(n.children[t]);
           const DischargePoint junction{
               i, static_cast<std::uint32_t>(t)};  // node below child t
-          const bool commit_top =
-              model_ == PendingModel::kPaperLiteral || top.par_b;
-          if (commit_top) {
-            for (const DischargePoint& p : top.pending) {
-              required_.push_back(p);
-            }
-            if (top.par_b || model_ == PendingModel::kPaperLiteral) {
-              required_.push_back(junction);
-            }
+          if (model_ == PendingModel::kPaperLiteral || top_par_b) {
+            commit(top_begin);
+            required_.push_back(junction);
           } else {
             // Series top: junction and internal points stay pending.
-            for (const DischargePoint& p : top.pending) {
-              acc.pending.push_back(p);
-            }
-            acc.pending.push_back(junction);
+            pending_.push_back(junction);
           }
-          // par_b of the growing stack stays that of the bottom child.
         }
-        return acc;
+        return par_b;
       }
     }
-    return {};
+    return false;
+  }
+
+  /// Moves the pending points from `begin` up into `required_`.
+  void commit(std::size_t begin) {
+    const auto first = pending_.begin() + static_cast<std::ptrdiff_t>(begin);
+    required_.insert(required_.end(), first, pending_.end());
+    pending_.resize(begin);
   }
 
   const Pdn& pdn_;
   PendingModel model_;
   std::vector<DischargePoint> required_;
+  std::vector<DischargePoint> pending_;
 };
 
 }  // namespace

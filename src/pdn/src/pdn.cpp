@@ -97,21 +97,7 @@ int Pdn::transistor_count() const {
 
 std::vector<std::uint32_t> Pdn::leaf_signals() const {
   std::vector<std::uint32_t> out;
-  if (empty()) return out;
-  std::vector<PdnIndex> stack{root_};
-  while (!stack.empty()) {
-    const PdnIndex i = stack.back();
-    stack.pop_back();
-    const PdnNode& n = node(i);
-    if (n.kind == PdnKind::kLeaf) {
-      out.push_back(n.signal);
-    } else {
-      // push reversed to visit children in order
-      for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-        stack.push_back(*it);
-      }
-    }
-  }
+  for_each_leaf([&](std::uint32_t signal) { out.push_back(signal); });
   return out;
 }
 

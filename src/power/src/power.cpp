@@ -83,9 +83,9 @@ PowerReport estimate_power(const DominoNetlist& netlist,
 
     // Pulldown inputs toggle when their driving signal rises (probability
     // = P(signal is 1), since domino signals reset low every precharge).
-    for (const std::uint32_t sig : gate.all_leaf_signals()) {
+    gate.for_each_leaf([&](std::uint32_t sig) {
       report.input_energy += model.input_cap_per_transistor * p[sig];
-    }
+    });
   }
   return report;
 }

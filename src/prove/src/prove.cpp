@@ -633,9 +633,9 @@ ProofRecord refine_inversion_parity(
   // Distinct fanin-gate leaves get free variables above the PI space for
   // the refutation superset (no first-failure assumption there).
   std::vector<std::uint32_t> gate_leaves;
-  for (const std::uint32_t sig : ref.pdn.leaf_signals()) {
+  ref.pdn.for_each_leaf([&](std::uint32_t sig) {
     if (!netlist.is_input_signal(sig)) gate_leaves.push_back(sig);
-  }
+  });
   std::sort(gate_leaves.begin(), gate_leaves.end());
   gate_leaves.erase(std::unique(gate_leaves.begin(), gate_leaves.end()),
                     gate_leaves.end());

@@ -178,9 +178,9 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
   // Fanout counts (same accounting as analyze_timing).
   std::vector<int> fanout(num_gates, 0);
   for (const DominoGate& gate : netlist.gates()) {
-    for (const std::uint32_t sig : gate.all_leaf_signals()) {
+    gate.for_each_leaf([&](std::uint32_t sig) {
       if (!netlist.is_input_signal(sig)) ++fanout[netlist.gate_of_signal(sig)];
-    }
+    });
   }
   for (const DominoOutput& o : netlist.outputs()) {
     if (o.constant < 0 && !netlist.is_input_signal(o.signal)) {

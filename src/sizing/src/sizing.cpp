@@ -147,11 +147,11 @@ double estimate_delay(const DominoNetlist& netlist,
                          model.per_fanout * load[g] /
                              std::max(sizing[g].inverter_width, 1e-6);
     double in = 0.0;
-    for (const std::uint32_t sig : gate.all_leaf_signals()) {
+    gate.for_each_leaf([&](std::uint32_t sig) {
       if (!netlist.is_input_signal(sig)) {
         in = std::max(in, arrival[netlist.gate_of_signal(sig)]);
       }
-    }
+    });
     arrival[g] = in + delay;
   }
   for (const DominoOutput& o : netlist.outputs()) {

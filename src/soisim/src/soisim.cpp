@@ -507,11 +507,11 @@ void SoiSimulator::observe_race(std::uint32_t gate_index,
   // point inside the static [arrival_min, arrival_max] interval.
   if (gates_[gate_index].output) {
     double input_arrival = 0.0;
-    for (const std::uint32_t s : spec.all_leaf_signals()) {
+    spec.for_each_leaf([&](std::uint32_t s) {
       if (actual[s]) {
         input_arrival = std::max(input_arrival, race_arrival_[s]);
       }
-    }
+    });
     const double arrival = input_arrival + probe.delay_max;
     race_arrival_[netlist_.signal_of_gate(gate_index)] = arrival;
     if (race_clock_.t_eval > 0.0) {

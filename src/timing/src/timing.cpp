@@ -76,11 +76,11 @@ TimingReport analyze_timing(const DominoNetlist& netlist,
   // Fanout counts: gates driving more gates switch slower.
   std::vector<int> fanout(netlist.gates().size(), 0);
   for (const DominoGate& gate : netlist.gates()) {
-    for (const std::uint32_t sig : gate.all_leaf_signals()) {
+    gate.for_each_leaf([&](std::uint32_t sig) {
       if (!netlist.is_input_signal(sig)) {
         ++fanout[netlist.gate_of_signal(sig)];
       }
-    }
+    });
   }
   for (const DominoOutput& o : netlist.outputs()) {
     if (o.constant < 0 && !netlist.is_input_signal(o.signal)) {
@@ -123,15 +123,15 @@ TimingReport analyze_timing(const DominoNetlist& netlist,
 
     double in_min = 0.0;
     double in_max = 0.0;
-    for (const std::uint32_t sig : gate.all_leaf_signals()) {
-      if (netlist.is_input_signal(sig)) continue;
+    gate.for_each_leaf([&](std::uint32_t sig) {
+      if (netlist.is_input_signal(sig)) return;
       const std::uint32_t fg = netlist.gate_of_signal(sig);
       if (report.gates[fg].arrival_max > in_max) {
         in_max = report.gates[fg].arrival_max;
         best_fanin[g] = static_cast<int>(fg);
       }
       in_min = std::max(in_min, report.gates[fg].arrival_min);
-    }
+    });
     t.arrival_min = in_min + t.delay_min;
     t.arrival_max = in_max + t.delay_max;
     report.total_floating_body += t.floating_body_transistors;

@@ -11,6 +11,7 @@
 #include "soidom/batch/runner.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
+#include "soidom/domino/serialize.hpp"
 #include "soidom/guard/fault.hpp"
 
 namespace soidom {
@@ -140,6 +141,63 @@ TEST(Fault, PartialResultsCapturedUpToFailure) {
   EXPECT_TRUE(outcome.partial.unate.has_value());
   EXPECT_TRUE(outcome.partial.netlist.has_value());
   EXPECT_FALSE(outcome.partial.netlist->gates().empty());
+}
+
+/// `partial` is filled only when a stage fails: a clean run keeps
+/// everything in `result`, a failure after the netlist exists captures
+/// exactly the clean run's unate network and netlist, and strict()
+/// captures nothing.
+TEST(Fault, PartialsAreCapturedOnlyOnFailure) {
+  const Network net = build_benchmark("z4ml");
+  const FlowOutcome clean = run_flow_guarded(net, FlowOptions{});
+  ASSERT_TRUE(clean.ok()) << summarize(clean);
+  EXPECT_FALSE(clean.partial.decomposed.has_value());
+  EXPECT_FALSE(clean.partial.unate.has_value());
+  EXPECT_FALSE(clean.partial.netlist.has_value());
+  const std::string clean_dnl = write_dnl(clean.result->netlist);
+  const std::string clean_unate =
+      cone_key(clean.result->unate, MapperOptions{}).text;
+
+  for (const FlowStage stage : {FlowStage::kLint, FlowStage::kVerifyStructure,
+                                FlowStage::kVerifyFunction}) {
+    SCOPED_TRACE(flow_stage_name(stage));
+    FaultInjector injector = FaultInjector::fail_at(stage);
+    FaultScope scope(injector);
+    const FlowOutcome failed = run_flow_guarded(net, FlowOptions{});
+    ASSERT_TRUE(failed.diagnostic.has_value());
+    EXPECT_EQ(failed.diagnostic->stage, stage);
+    EXPECT_FALSE(failed.result.has_value());
+    ASSERT_TRUE(failed.partial.netlist.has_value());
+    EXPECT_EQ(write_dnl(*failed.partial.netlist), clean_dnl);
+    ASSERT_TRUE(failed.partial.unate.has_value());
+    EXPECT_EQ(cone_key(*failed.partial.unate, MapperOptions{}).text,
+              clean_unate);
+    EXPECT_FALSE(failed.partial.decomposed.has_value());
+  }
+
+  {
+    FaultInjector injector = FaultInjector::fail_at(FlowStage::kUnate);
+    FaultScope scope(injector);
+    const FlowOutcome failed =
+        run_flow_guarded(parse_blif(kAdderBlif), FlowOptions{});
+    ASSERT_TRUE(failed.diagnostic.has_value());
+    EXPECT_EQ(failed.diagnostic->stage, FlowStage::kUnate);
+    ASSERT_TRUE(failed.partial.decomposed.has_value());
+    EXPECT_EQ(failed.partial.decomposed->outputs().size(), 1u);
+    EXPECT_FALSE(failed.partial.unate.has_value());
+    EXPECT_FALSE(failed.partial.netlist.has_value());
+  }
+
+  FaultInjector injector = FaultInjector::fail_at(FlowStage::kLint);
+  FaultScope scope(injector);
+  const FlowOutcome strict =
+      run_flow_guarded(parse_blif(kAdderBlif), FlowOptions{},
+                       GuardOptions::strict());
+  ASSERT_TRUE(strict.diagnostic.has_value());
+  EXPECT_EQ(strict.diagnostic->stage, FlowStage::kLint);
+  EXPECT_FALSE(strict.partial.decomposed.has_value());
+  EXPECT_FALSE(strict.partial.unate.has_value());
+  EXPECT_FALSE(strict.partial.netlist.has_value());
 }
 
 // ---------------------------------------------------------------------------

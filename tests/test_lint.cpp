@@ -7,11 +7,15 @@
 
 #include <cctype>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "helpers.hpp"
+#include "soidom/base/hash.hpp"
+#include "soidom/base/rng.hpp"
+#include "soidom/base/strings.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/postpass.hpp"
@@ -473,6 +477,299 @@ TEST(LintRules, MonotoneOutputWarns) {
   for (const Finding& f : report.findings) {
     EXPECT_EQ(f.rule, "monotone-output") << f.to_string();
   }
+}
+
+// --- pinned findings -------------------------------------------------------
+
+/// One netlist to lint for the pinned-findings corpus.
+struct LintCase {
+  DominoNetlist netlist;
+  LintOptions options;
+  const Network* source = nullptr;
+};
+
+/// The same netlist with output `j` renamed (outputs are append-only).
+DominoNetlist with_output_renamed(const DominoNetlist& nl, std::size_t j,
+                                  const std::string& name) {
+  DominoNetlist out;
+  for (const InputLiteral& in : nl.inputs()) (void)out.add_input(in);
+  for (const DominoGate& g : nl.gates()) (void)out.add_gate(g);
+  for (std::size_t k = 0; k < nl.outputs().size(); ++k) {
+    DominoOutput o = nl.outputs()[k];
+    if (k == j) o.name = name;
+    out.add_output(std::move(o));
+  }
+  return out;
+}
+
+/// Every mutation the LintRules.*Fires / *Warns tests above apply.
+std::vector<LintCase> rule_fixture_corpus(const Network& source) {
+  std::vector<LintCase> corpus;
+  const auto add = [&](DominoNetlist nl, LintOptions options = {},
+                       const Network* src = nullptr) {
+    corpus.push_back(LintCase{std::move(nl), std::move(options), src});
+  };
+  {
+    DominoNetlist nl;
+    const std::uint32_t a = nl.add_input({"a", 0, false});
+    DominoGate g;
+    g.pdn.set_root(g.pdn.add_series({g.pdn.add_leaf(a), g.pdn.add_leaf(1)}));
+    g.footed = true;
+    nl.add_gate(std::move(g));
+    nl.add_output({nl.signal_of_gate(0), "z", false, -1});
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl;
+    (void)nl.add_input({"a", 0, false});
+    DominoGate g;
+    g.pdn.set_root(g.pdn.add_leaf(99));
+    nl.add_gate(std::move(g));
+    nl.add_output({nl.signal_of_gate(0), "z", false, -1});
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist bad;
+    (void)bad.add_input({"x0", 0, false});
+    bad.add_gate(simple_netlist(1, true).gates()[0]);
+    bad.add_output({57, "z", false, -1});
+    add(std::move(bad));
+  }
+  for (const DischargePoint p : {DischargePoint{0, 5}, DischargePoint{40, 0}}) {
+    DominoNetlist nl = simple_netlist(1, true);
+    nl.gates()[0].discharges.push_back(p);
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl = simple_netlist(1, true);
+    nl.gates()[0].discharges2.push_back(DischargePoint{});
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl = simple_netlist(1, true);
+    nl.gates()[0].pdn = Pdn{};
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl = simple_netlist(1, true);
+    nl.gates()[0].footed = false;
+    add(std::move(nl));
+    DominoNetlist nl2 = simple_netlist(1, true);
+    nl2.gates()[0].footed2 = true;
+    add(std::move(nl2));
+  }
+  {
+    LintOptions wide;
+    wide.max_width = 2;
+    wide.max_height = 8;
+    add(simple_netlist(3, /*series=*/false), wide);
+    LintOptions tall;
+    tall.max_height = 2;
+    add(simple_netlist(3, /*series=*/true), tall);
+  }
+  {
+    DominoNetlist nl;
+    (void)nl.add_input({"a", -1, false});
+    DominoGate g;
+    g.pdn.set_root(g.pdn.add_leaf(0));
+    g.footed = true;
+    nl.add_gate(std::move(g));
+    nl.add_output({nl.signal_of_gate(0), "z", false, -1});
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl;
+    const std::uint32_t a1 = nl.add_input({"a", 0, false});
+    const std::uint32_t a2 = nl.add_input({"a_dup", 0, false});
+    DominoGate g;
+    g.pdn.set_root(g.pdn.add_series({g.pdn.add_leaf(a1), g.pdn.add_leaf(a2)}));
+    g.footed = true;
+    nl.add_gate(std::move(g));
+    nl.add_output({nl.signal_of_gate(0), "z", false, -1});
+    add(std::move(nl));
+  }
+  add(with_output_renamed(simple_netlist(1, true), 0, ""));
+  add(with_output_renamed(simple_netlist(1, true), 0, "y"), {}, &source);
+  {
+    DominoNetlist nl = simple_netlist(2, true);
+    const PdnIndex root = nl.gates()[0].pdn.root();
+    nl.gates()[0].discharges.push_back(DischargePoint{root, 0});
+    add(nl);  // excess-discharge
+    nl.gates()[0].discharges.push_back(DischargePoint{root, 0});
+    add(std::move(nl));  // overhead-count duplicate
+  }
+  {
+    DominoNetlist nl = simple_netlist(2, true);
+    nl.gates()[0].discharges.push_back(DischargePoint{});
+    add(std::move(nl));
+  }
+  add(simple_netlist(2, /*series=*/false));
+  {
+    DominoNetlist nl = simple_netlist(2, /*series=*/false);
+    insert_discharges(nl, GroundingPolicy::kNoneGrounded);
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl;
+    const std::uint32_t a = nl.add_input({"a", 0, false});
+    (void)nl.add_input({"b", 1, false});
+    for (int k = 0; k < 2; ++k) {
+      DominoGate g;
+      g.pdn.set_root(g.pdn.add_leaf(a));
+      g.footed = true;
+      nl.add_gate(std::move(g));
+    }
+    nl.add_output({nl.signal_of_gate(0), "z", false, -1});
+    add(std::move(nl));
+  }
+  {
+    DominoNetlist nl;
+    (void)nl.add_input({"a.bar", 0, true});
+    DominoGate g;
+    g.pdn.set_root(g.pdn.add_leaf(0));
+    g.footed = true;
+    nl.add_gate(std::move(g));
+    nl.add_output({0, "z", true, -1});
+    nl.add_output({0, "k", true, 1});
+    nl.add_output({nl.signal_of_gate(0), "g", false, -1});
+    add(std::move(nl));
+  }
+  return corpus;
+}
+
+/// One seeded random corruption of a mapped netlist: drop, duplicate or
+/// add a discharge; flip footed / footed2; point a leaf at a later gate
+/// or past the last signal; empty a pulldown; rename an output.
+DominoNetlist mutate(const DominoNetlist& mapped, Rng& rng) {
+  DominoNetlist nl = mapped;
+  const std::size_t num_gates = nl.gates().size();
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  DominoGate& gate = nl.gates()[pick(num_gates)];
+  const bool second = gate.dual() && rng.chance(1, 2);
+  Pdn& pdn = second ? gate.pdn2 : gate.pdn;
+  std::vector<DischargePoint>& discharges =
+      second ? gate.discharges2 : gate.discharges;
+  const auto gate_index = static_cast<std::size_t>(&gate - &nl.gates()[0]);
+  switch (rng.next_below(9)) {
+    case 0:  // drop a discharge
+      if (!discharges.empty()) {
+        discharges.erase(discharges.begin() +
+                         static_cast<std::ptrdiff_t>(pick(discharges.size())));
+      }
+      break;
+    case 1:  // duplicate a discharge
+      if (!discharges.empty()) {
+        discharges.push_back(discharges[pick(discharges.size())]);
+      }
+      break;
+    case 2: {  // add a discharge at a junction or the bottom
+      const std::vector<DischargePoint> junctions = canonical_junctions(pdn);
+      const std::size_t k = pick(junctions.size() + 1);
+      discharges.push_back(k < junctions.size() ? junctions[k]
+                                                : DischargePoint{});
+      break;
+    }
+    case 3:
+      gate.footed = !gate.footed;
+      break;
+    case 4:
+      gate.footed2 = !gate.footed2;
+      break;
+    case 5:
+    case 6: {  // repoint a leaf: a later gate, or past the last signal
+      std::vector<PdnIndex> leaves;
+      for (PdnIndex i = 0; i < pdn.pool_size(); ++i) {
+        if (pdn.node(i).kind == PdnKind::kLeaf) leaves.push_back(i);
+      }
+      const std::uint32_t defined =
+          static_cast<std::uint32_t>(nl.num_inputs() + num_gates);
+      const std::uint32_t later = nl.signal_of_gate(static_cast<std::uint32_t>(
+          gate_index + pick(num_gates - gate_index)));
+      pdn.node(leaves[pick(leaves.size())]).signal =
+          rng.chance(1, 2) ? later
+                           : defined + static_cast<std::uint32_t>(pick(3));
+      break;
+    }
+    case 7:
+      pdn = Pdn{};
+      break;
+    default:
+      return with_output_renamed(nl, pick(nl.outputs().size()),
+                                 format("renamed%zu", pick(100)));
+  }
+  return nl;
+}
+
+/// FNV-1a over the JSON lint reports of a corpus, chained in corpus order,
+/// once per grounding policy.  Recorded before the rules' leaf walks and
+/// the PBE analyzer were rewritten allocation-free: any change to a
+/// finding, its text, or the order of findings changes a pin.
+TEST(LintRules, FindingsArePinned) {
+  const auto corpus_hash = [](const std::vector<LintCase>& corpus,
+                              GroundingPolicy policy) {
+    std::uint64_t h = fnv1a64("");
+    for (const LintCase& c : corpus) {
+      LintOptions options = c.options;
+      options.grounding = policy;
+      h = fnv1a64(run_lint(c.netlist, options, c.source).to_json(), h);
+    }
+    return h;
+  };
+  const std::pair<const char*, GroundingPolicy> policies[] = {
+      {"footless", GroundingPolicy::kFootlessGrounded},
+      {"none", GroundingPolicy::kNoneGrounded},
+      {"all", GroundingPolicy::kAllGrounded}};
+  std::map<std::string, std::uint64_t> got;
+
+  NetworkBuilder b;
+  b.add_output(b.add_pi("x0"), "z");
+  const Network fixture_source = std::move(b).build();
+  const std::vector<LintCase> fixtures = rule_fixture_corpus(fixture_source);
+  for (const auto& [label, policy] : policies) {
+    got[format("fixtures/%s", label)] = corpus_hash(fixtures, policy);
+  }
+
+  // 17 seeded mutations of each mapped circuit (51 in all), linted with
+  // the mapper's shape limits and against the source network.  Complex
+  // gates at W=2 put dual gates (and so pdn2) into every netlist.
+  for (const char* name : {"c8", "count", "z4ml"}) {
+    const Network source = build_benchmark(name);
+    FlowOptions fopts;
+    fopts.verify_rounds = 0;
+    fopts.mapper.enable_complex_gates = true;
+    fopts.mapper.max_width = 2;
+    const DominoNetlist mapped = run_flow(source, fopts).netlist;
+    Rng rng(fnv1a64(name));
+    std::vector<LintCase> corpus;
+    for (int k = 0; k < 17; ++k) {
+      LintOptions options;
+      options.max_width = fopts.mapper.max_width;
+      options.max_height = fopts.mapper.max_height;
+      options.allow_unexcitable_unprotected = k % 2 == 1;
+      corpus.push_back(LintCase{mutate(mapped, rng), options, &source});
+    }
+    for (const auto& [label, policy] : policies) {
+      got[format("%s/%s", name, label)] = corpus_hash(corpus, policy);
+    }
+  }
+
+  const std::map<std::string, std::uint64_t> pins = {
+      {"c8/all", 0x454b293de5ef6297ull},
+      {"c8/footless", 0xdd38398b8a06c9d2ull},
+      {"c8/none", 0x2241dd5f17c5786dull},
+      {"count/all", 0x26a0d1f643e69041ull},
+      {"count/footless", 0xab5a859a7bf66fdeull},
+      {"count/none", 0x1fce538474fd8c15ull},
+      {"fixtures/all", 0x5c8059dddbf864a8ull},
+      {"fixtures/footless", 0x990de9240fc54a09ull},
+      {"fixtures/none", 0x990de9240fc54a09ull},
+      {"z4ml/all", 0x775474e7b48dfa3bull},
+      {"z4ml/footless", 0x37fcf5199cbb261cull},
+      {"z4ml/none", 0x55dce6ea04ab165full},
+  };
+  EXPECT_EQ(got, pins);
 }
 
 // --- emitters --------------------------------------------------------------

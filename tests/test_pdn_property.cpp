@@ -162,6 +162,229 @@ TEST_P(PdnRandomProperty, BddConductionMatchesEval) {
   }
 }
 
+/// Verbatim copy of the explicit-stack leaf walk that Pdn::leaf_signals()
+/// used before Pdn::for_each_leaf became the one leaf-order walk.
+std::vector<std::uint32_t> reference_leaf_signals(const Pdn& pdn) {
+  std::vector<std::uint32_t> out;
+  if (pdn.empty()) return out;
+  std::vector<PdnIndex> stack{pdn.root()};
+  while (!stack.empty()) {
+    const PdnIndex i = stack.back();
+    stack.pop_back();
+    const PdnNode& n = pdn.node(i);
+    if (n.kind == PdnKind::kLeaf) {
+      out.push_back(n.signal);
+    } else {
+      // push reversed to visit children in order
+      for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
+        stack.push_back(*it);
+      }
+    }
+  }
+  return out;
+}
+
+void expect_leaf_order(const Pdn& pdn) {
+  const std::vector<std::uint32_t> want = reference_leaf_signals(pdn);
+  std::vector<std::uint32_t> visited;
+  pdn.for_each_leaf([&](std::uint32_t s) { visited.push_back(s); });
+  EXPECT_EQ(visited, want) << pdn.to_string();
+  EXPECT_EQ(pdn.leaf_signals(), want) << pdn.to_string();
+}
+
+TEST_P(PdnRandomProperty, ForEachLeafMatchesLeafSignals) {
+  const Pdn pdn = random_pdn(GetParam());
+  expect_leaf_order(pdn);
+
+  // Re-rooted at every pool node, dead ones included: the walk covers
+  // that subtree only.
+  for (PdnIndex i = 0; i < pdn.pool_size(); ++i) {
+    Pdn sub = pdn;
+    sub.set_root(i);
+    expect_leaf_order(sub);
+  }
+
+  // Hand-built trees whose pools hold dead nodes: add_series inlines a
+  // series child and add_parallel a parallel one, leaving the inlined
+  // node unreachable from the root.
+  Rng rng(GetParam());
+  Pdn dead;
+  const auto leaf = [&] {
+    return dead.add_leaf(static_cast<std::uint32_t>(rng.next_below(8)));
+  };
+  const PdnIndex inner = dead.add_series({leaf(), leaf()});
+  const PdnIndex outer = dead.add_series({leaf(), inner, leaf()});
+  const PdnIndex branch = dead.add_parallel({leaf(), leaf()});
+  const PdnIndex wide = dead.add_parallel({branch, outer, leaf()});
+  dead.set_root(dead.add_series({wide, leaf()}));
+  ASSERT_EQ(dead.transistor_count(), 8);
+  expect_leaf_order(dead);
+
+  expect_leaf_order(Pdn{});
+}
+
+/// Verbatim copy of the recursive analyzer behind analyze_pbe() before
+/// it moved onto one pending-point stack.
+struct ReferenceSubResult {
+  std::vector<DischargePoint> pending;
+  bool par_b = false;
+};
+
+class ReferenceAnalyzer {
+ public:
+  ReferenceAnalyzer(const Pdn& pdn, PendingModel model)
+      : pdn_(pdn), model_(model) {}
+
+  PbeAnalysis run(bool bottom_grounded) {
+    PbeAnalysis out;
+    if (pdn_.empty()) return out;
+    ReferenceSubResult root = analyze(pdn_.root());
+    out.par_b_root = root.par_b;
+    if (!bottom_grounded) {
+      const bool commit_root =
+          model_ == PendingModel::kPaperLiteral || root.par_b;
+      if (commit_root) {
+        // All pending points commit; a parallel bottom additionally needs
+        // its bottom node discharged.
+        for (const DischargePoint& p : root.pending) required_.push_back(p);
+        if (root.par_b) required_.push_back(DischargePoint{});  // bottom
+        root.pending.clear();
+      }
+    }
+    out.required = std::move(required_);
+    out.pending_at_root = std::move(root.pending);
+    // Deterministic order for comparisons.
+    auto key = [](const DischargePoint& p) {
+      return (static_cast<std::uint64_t>(p.series_node) << 32) | p.pos;
+    };
+    std::sort(out.required.begin(), out.required.end(),
+              [&](const auto& a, const auto& b) { return key(a) < key(b); });
+    std::sort(out.pending_at_root.begin(), out.pending_at_root.end(),
+              [&](const auto& a, const auto& b) { return key(a) < key(b); });
+    return out;
+  }
+
+ private:
+  ReferenceSubResult analyze(PdnIndex i) {
+    const PdnNode& n = pdn_.node(i);
+    switch (n.kind) {
+      case PdnKind::kLeaf:
+        return {};
+      case PdnKind::kParallel: {
+        // Branch bottoms merge into this node's bottom; branch-internal
+        // pending points become pending points of the parallel structure.
+        ReferenceSubResult out;
+        out.par_b = true;
+        for (const PdnIndex c : n.children) {
+          ReferenceSubResult sub = analyze(c);
+          // A parallel child would have been flattened away; a branch with
+          // par_b could only arise from an unnormalized tree.
+          for (DischargePoint& p : sub.pending) {
+            out.pending.push_back(p);
+          }
+          if (sub.par_b) {
+            // Nested parallel directly under parallel (non-normalized):
+            // treat its bottom as merged with ours — nothing extra.
+          }
+        }
+        return out;
+      }
+      case PdnKind::kSeries: {
+        // Fold bottom-up: start with the bottom child, stack the others on
+        // top one at a time (mirrors the mapper's combine_and).
+        const std::size_t k = n.children.size();
+        ReferenceSubResult acc = analyze(n.children[k - 1]);
+        for (std::size_t t = k - 1; t-- > 0;) {
+          const ReferenceSubResult top = analyze(n.children[t]);
+          const DischargePoint junction{
+              i, static_cast<std::uint32_t>(t)};  // node below child t
+          const bool commit_top =
+              model_ == PendingModel::kPaperLiteral || top.par_b;
+          if (commit_top) {
+            for (const DischargePoint& p : top.pending) {
+              required_.push_back(p);
+            }
+            if (top.par_b || model_ == PendingModel::kPaperLiteral) {
+              required_.push_back(junction);
+            }
+          } else {
+            // Series top: junction and internal points stay pending.
+            for (const DischargePoint& p : top.pending) {
+              acc.pending.push_back(p);
+            }
+            acc.pending.push_back(junction);
+          }
+          // par_b of the growing stack stays that of the bottom child.
+        }
+        return acc;
+      }
+    }
+    return {};
+  }
+
+  const Pdn& pdn_;
+  PendingModel model_;
+  std::vector<DischargePoint> required_;
+};
+
+/// `pdn` with same-kind nesting put back: every `stride`-th child of each
+/// node of kind `kind` is wrapped in a fresh node of the same kind
+/// (together with one new leaf), by editing `node(i).children` directly.
+Pdn unnormalize(Pdn pdn, PdnKind kind, std::size_t stride) {
+  const std::size_t original = pdn.pool_size();
+  for (PdnIndex i = 0; i < original; ++i) {
+    if (pdn.node(i).kind != kind) continue;
+    for (std::size_t k = 0; k < pdn.node(i).children.size(); k += stride) {
+      const PdnIndex child = pdn.node(i).children[k];
+      const PdnIndex extra = pdn.add_leaf(7);
+      const PdnIndex wrap = kind == PdnKind::kParallel
+                                ? pdn.add_parallel({child, extra})
+                                : pdn.add_series({child, extra});
+      pdn.node(i).children[k] = wrap;
+    }
+  }
+  return pdn;
+}
+
+void expect_analyzer_matches_reference(const Pdn& pdn) {
+  for (const PendingModel model :
+       {PendingModel::kCoherent, PendingModel::kPaperLiteral}) {
+    for (const bool grounded : {true, false}) {
+      const PbeAnalysis want = ReferenceAnalyzer(pdn, model).run(grounded);
+      const PbeAnalysis got = analyze_pbe(pdn, grounded, model);
+      const std::string where =
+          pdn.to_string() + (grounded ? " grounded" : " floating") +
+          (model == PendingModel::kCoherent ? " coherent" : " literal");
+      EXPECT_EQ(got.required, want.required) << where;
+      EXPECT_EQ(got.pending_at_root, want.pending_at_root) << where;
+      EXPECT_EQ(got.par_b_root, want.par_b_root) << where;
+    }
+  }
+}
+
+TEST_P(PdnRandomProperty, StackAnalyzerMatchesRecursiveReference) {
+  const Pdn pdn = random_pdn(GetParam());
+  expect_analyzer_matches_reference(pdn);
+  for (PdnIndex i = 0; i < pdn.pool_size(); ++i) {
+    Pdn sub = pdn;
+    sub.set_root(i);
+    expect_analyzer_matches_reference(sub);
+  }
+
+  // Unnormalized trees: a parallel node directly under a parallel node
+  // (the reference's explicit nested-parallel branch), and a series node
+  // directly under a series node.
+  for (const std::size_t stride : {1u, 2u}) {
+    const Pdn nested_parallel = unnormalize(pdn, PdnKind::kParallel, stride);
+    const Pdn nested_series = unnormalize(pdn, PdnKind::kSeries, stride);
+    expect_analyzer_matches_reference(nested_parallel);
+    expect_analyzer_matches_reference(nested_series);
+    expect_analyzer_matches_reference(
+        unnormalize(nested_parallel, PdnKind::kSeries, stride));
+  }
+  expect_analyzer_matches_reference(Pdn{});
+}
+
 TEST_P(PdnRandomProperty, ReorderIsIdempotent) {
   Pdn pdn = random_pdn(GetParam());
   reorder_series_stacks(pdn);

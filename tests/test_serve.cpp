@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <thread>
@@ -274,6 +275,40 @@ TEST(FlowCache, WarmAndColdRunsAreByteIdentical) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.stores, 1u);
+}
+
+/// Cold (no cache), warm (in-memory hit) and restarted (a fresh cache
+/// warmed from the spill journal) flows give byte-identical netlists, on
+/// paper circuits from small to large plus one scale circuit where the DP
+/// dominates.  xl_mult64's DP costs overflow int64 (ROADMAP item 6), so a
+/// -fsanitize=undefined build stops on it, as on Mapper.NetlistsArePinned.
+TEST(FlowCache, ColdWarmAndSpillRestartedNetlistsAreIdentical) {
+  FlowOptions options;
+  options.verify_rounds = 0;
+  for (const char* name : {"z4ml", "des", "c5315", "c7552", "k2", "xl_mult64"}) {
+    SCOPED_TRACE(name);
+    const Network net = build_benchmark(name);
+    const std::string cold = write_dnl(run_flow(net, options).netlist);
+
+    const std::string spill = temp_path("restart.jsonl");
+    std::remove(spill.c_str());
+    ConeCacheOptions co;
+    co.spill_path = spill;
+    co.durable = false;
+    {
+      FlowOptions cached = options;
+      cached.map_cache = std::make_shared<ConeCache>(co);
+      EXPECT_EQ(write_dnl(run_flow(net, cached).netlist), cold);  // store
+      EXPECT_EQ(write_dnl(run_flow(net, cached).netlist), cold);  // hit
+    }
+    auto restarted = std::make_shared<ConeCache>(co);
+    EXPECT_TRUE(restarted->load_spill().empty());
+    FlowOptions cached = options;
+    cached.map_cache = restarted;
+    EXPECT_EQ(write_dnl(run_flow(net, cached).netlist), cold);
+    EXPECT_EQ(restarted->stats().misses, 0u);
+    std::remove(spill.c_str());
+  }
 }
 
 TEST(FlowCache, ConcurrentOverlappingFlowsStayDeterministic) {
