@@ -8,45 +8,26 @@
 ///         -> transistor sizing                     (paper's follow-up step)
 ///         -> SPICE + Verilog export for downstream tooling.
 ///
-/// Build & run:   build/examples/asic_flow [--diag-json]
-///                                         [--lint] [--lint-sarif=FILE]
-///                                         [--csa] [--csa-sarif=FILE]
-///                                         [--csa-margin=X]
-///                                         [--race] [--race-sarif=FILE]
-///                                         [--race-phases=N]
-///                                         [--race-teval=X] [--race-tpre=X]
-///                                         [--race-skew=X]
-///                                         [--race-margin=X]
-///                                         [--prove] [--prove-budget=N]
-///                                         [--prove-fail-on=SEV]
-///                                         [--prove-strict] [circuit.blif]
-/// Without a circuit argument a built-in 4-bit comparator BLIF is used.
-/// --lint prints the full lint report; --lint-sarif=FILE writes it as
-/// SARIF 2.1.0 for CI annotation.  --csa runs the static charge-sharing /
-/// PBE-safety analyzer (docs/CSA.md); --csa-sarif=FILE writes its
-/// findings as SARIF 2.1.0 and --csa-margin=X sets the droop noise
-/// margin as a fraction of VDD (default 0.25).  --race runs the static
-/// phase / monotonicity / race analyzer (docs/RACE.md); --race-sarif=FILE
-/// writes its findings as SARIF 2.1.0; --race-phases=N sets the clock
-/// phase count and --race-teval/--race-tpre/--race-skew/--race-margin
-/// configure the evaluate / precharge windows (0 = unconstrained).
-/// --prove runs the exact proof tier (docs/PROVE.md) over the lint / csa
-/// / race findings: each provable finding becomes confirmed (witness
-/// logged), refuted (downgraded to info with a certificate), or unknown
-/// (node budget hit).  --prove-budget=N caps BDD nodes per cone (default
-/// 2^20); --prove-fail-on=info|warning|error sets the severity at which
-/// a CONFIRMED finding fails the flow; --prove-strict exits 5
-/// (kProofTimeout) when any proof obligation exceeds the budget.
+/// Build & run:   build/examples/asic_flow [flags] [circuit.blif]
 ///
-/// Batch mode (src/batch; see docs/BATCH.md):
+/// Without a circuit argument a built-in 4-bit comparator BLIF is used.
+/// Its own flags:
+///   --diag-json       print failures as JSON diagnostics
+///   --lint            print the full lint report
+///   --lint-sarif=FILE write the lint report as SARIF 2.1.0
+///   --csa-sarif=FILE  write the csa findings as SARIF 2.1.0 (and run csa)
+///   --race-sarif=FILE write the race findings as SARIF 2.1.0 (and run race)
 ///   --batch[=a,b,c]   run the asic flow over the named benchmark
 ///                     circuits (bare --batch: every paper-table circuit)
 ///                     with watchdog + retry ladder + run journal
-///   --resume          skip jobs already terminal in the journal
-///   --journal=FILE    JSONL journal (default asic_flow.jsonl)
-///   --manifest=FILE   merged manifest (default asic_flow.manifest.json)
-///   --timeout-ms=N    per-attempt watchdog   --attempts=N  retry budget
-///   --isolate         fork each attempt into a subprocess
+///                     (src/batch; see docs/BATCH.md)
+///
+/// It takes the batch-run group of soidom/batch/flags.hpp, which nests the
+/// job and flow groups; the batch-run and job flags act only with --batch.
+/// Its defaults: --flow=soi --seq-aware --exact, --journal=asic_flow.jsonl,
+/// --manifest=asic_flow.manifest.json.  --prove prints each proof record:
+/// confirmed (witness), refuted (downgraded to info, with a certificate)
+/// or unknown (node budget hit).
 ///
 /// All artifact files are written atomically (write-temp-fsync-rename),
 /// so a crash or SIGKILL never leaves a truncated .sp/.v/SARIF on disk.
@@ -59,13 +40,12 @@
 /// failed/quarantined), 130/143 (signal).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
-#include "soidom/batch/runner.hpp"
+#include "soidom/batch/flags.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
@@ -112,35 +92,14 @@ const char* kDefaultBlif = R"(
 .end
 )";
 
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= list.size()) {
-    const std::size_t comma = list.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) out.push_back(list.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
 /// The batch counterpart of the single-circuit flow below: same flow
 /// options, many circuits, resilient outer loop.
 int run_batch_mode(const std::vector<std::string>& circuits,
                    BatchOptions options) {
   std::vector<BatchJob> jobs;
-  if (circuits.empty()) {
-    for (const auto& list : {table1_circuits(), table2_circuits(),
-                             table3_circuits(), table4_circuits()}) {
-      for (const std::string& name : list) {
-        bool seen = false;
-        for (const BatchJob& j : jobs) seen = seen || j.name == name;
-        if (!seen) jobs.push_back(BatchJob{name, ""});
-      }
-    }
-  } else {
-    for (const std::string& name : circuits) jobs.push_back(BatchJob{name, ""});
+  for (const std::string& name :
+       circuits.empty() ? paper_table_circuits() : circuits) {
+    jobs.push_back(BatchJob{name, ""});
   }
 
   BatchHooks hooks;
@@ -179,144 +138,70 @@ int run_batch_mode(const std::vector<std::string>& circuits,
   return (result.failed == 0 && result.quarantined == 0) ? 0 : 7;
 }
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [flags] [circuit.blif]\n"
+               "  [--diag-json] [--lint] [--lint-sarif=FILE] [--csa-sarif=FILE]\n"
+               "  [--race-sarif=FILE] [--batch[=a,b,c]]\n%s%s%s",
+               argv0, kBatchRunFlagsUsage, kJobFlagsUsage, kFlowFlagsUsage);
+  std::exit(64);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool diag_json = false;
   bool want_lint = false;
-  bool want_csa = false;
-  double csa_margin = -1.0;
-  bool want_race = false;
-  RaceOptions race_options;
-  bool want_prove = false;
-  ProveOptions prove_options;
-  LintSeverity prove_fail_on = LintSeverity::kError;
   bool batch_mode = false;
   std::vector<std::string> batch_circuits;
   BatchOptions batch;
   batch.journal_path = "asic_flow.jsonl";
   batch.manifest_path = "asic_flow.manifest.json";
+  FlowOptions& options = batch.flow;
+  options.variant = FlowVariant::kSoiDominoMap;
+  options.sequence_aware = true;
+  options.exact_equivalence = true;
   std::string lint_sarif_path;
   std::string csa_sarif_path;
   std::string race_sarif_path;
   std::string path;
-  // Strict numeric parses: atoi/atof would turn "--jobs=all" or
-  // "--csa-margin=high" into 0 silently.
-  bool bad_number = false;
-  auto int_flag = [&](const char* text, const char* flag, int* out) {
-    if (!parse_int_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
-                   text);
-      bad_number = true;
-    }
-  };
-  auto double_flag = [&](const char* text, const char* flag, double* out) {
-    if (!parse_double_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs a number, got '%s'\n", flag,
-                   text);
-      bad_number = true;
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--diag-json") == 0) {
-      diag_json = true;
-    } else if (std::strcmp(argv[i], "--lint") == 0) {
-      want_lint = true;
-    } else if (std::strncmp(argv[i], "--lint-sarif=", 13) == 0) {
-      lint_sarif_path = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--csa") == 0) {
-      want_csa = true;
-    } else if (std::strncmp(argv[i], "--csa-sarif=", 12) == 0) {
-      want_csa = true;
-      csa_sarif_path = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--csa-margin=", 13) == 0) {
-      want_csa = true;
-      double_flag(argv[i] + 13, "--csa-margin", &csa_margin);
-    } else if (std::strcmp(argv[i], "--race") == 0) {
-      want_race = true;
-    } else if (std::strncmp(argv[i], "--race-sarif=", 13) == 0) {
-      want_race = true;
-      race_sarif_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--race-phases=", 14) == 0) {
-      want_race = true;
-      int_flag(argv[i] + 14, "--race-phases", &race_options.num_phases);
-    } else if (std::strncmp(argv[i], "--race-teval=", 13) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 13, "--race-teval", &race_options.t_eval);
-    } else if (std::strncmp(argv[i], "--race-tpre=", 12) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 12, "--race-tpre", &race_options.t_pre);
-    } else if (std::strncmp(argv[i], "--race-skew=", 12) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 12, "--race-skew", &race_options.skew);
-    } else if (std::strncmp(argv[i], "--race-margin=", 14) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 14, "--race-margin", &race_options.margin);
-    } else if (std::strcmp(argv[i], "--prove") == 0) {
-      want_prove = true;
-    } else if (std::strncmp(argv[i], "--prove-budget=", 15) == 0) {
-      want_prove = true;
-      int budget = 0;
-      int_flag(argv[i] + 15, "--prove-budget", &budget);
-      prove_options.node_budget = static_cast<std::uint32_t>(budget);
-    } else if (std::strncmp(argv[i], "--prove-fail-on=", 16) == 0) {
-      want_prove = true;
-      const std::string sev = argv[i] + 16;
-      if (sev == "info") prove_fail_on = LintSeverity::kInfo;
-      else if (sev == "warning") prove_fail_on = LintSeverity::kWarning;
-      else if (sev == "error") prove_fail_on = LintSeverity::kError;
-      else {
-        std::fprintf(stderr,
-                     "error: --prove-fail-on needs info|warning|error, "
-                     "got '%s'\n",
-                     sev.c_str());
-        bad_number = true;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const Flag flag(argv[i]);
+      if (parse_batch_run_flag(flag, batch)) continue;
+      if (flag.is("--diag-json")) {
+        diag_json = true;
+      } else if (flag.is("--lint")) {
+        want_lint = true;
+      } else if (flag.has("--lint-sarif")) {
+        lint_sarif_path = flag.value();
+      } else if (flag.has("--csa-sarif")) {
+        options.csa = true;
+        csa_sarif_path = flag.value();
+      } else if (flag.has("--race-sarif")) {
+        options.race = true;
+        race_sarif_path = flag.value();
+      } else if (flag.is("--batch")) {
+        batch_mode = true;
+      } else if (flag.has("--batch")) {
+        batch_mode = true;
+        batch_circuits.clear();
+        for (const std::string_view name : split(flag.value(), ",")) {
+          batch_circuits.emplace_back(name);
+        }
+      } else if (starts_with(argv[i], "--")) {
+        usage(argv[0]);
+      } else {
+        path = argv[i];
       }
-    } else if (std::strcmp(argv[i], "--prove-strict") == 0) {
-      want_prove = true;
-      prove_options.fail_on_budget = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch_mode = true;
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      batch_mode = true;
-      batch_circuits = split_names(argv[i] + 8);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      batch.resume = true;
-    } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
-      batch.journal_path = argv[i] + 10;
-    } else if (std::strncmp(argv[i], "--manifest=", 11) == 0) {
-      batch.manifest_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      int timeout_ms = 0;
-      int_flag(argv[i] + 13, "--timeout-ms", &timeout_ms);
-      batch.job_timeout_ms = timeout_ms;
-    } else if (std::strncmp(argv[i], "--attempts=", 11) == 0) {
-      int_flag(argv[i] + 11, "--attempts", &batch.retry.max_attempts);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      int_flag(argv[i] + 7, "--jobs", &batch.max_parallel);
-    } else if (std::strcmp(argv[i], "--isolate") == 0) {
-      batch.isolate = true;
-    } else {
-      path = argv[i];
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   }
-  if (bad_number) return 64;
 
   install_signal_cancel();
-
-  if (batch_mode) {
-    batch.flow.variant = FlowVariant::kSoiDominoMap;
-    batch.flow.sequence_aware = true;
-    batch.flow.exact_equivalence = true;
-    batch.flow.csa = want_csa;
-    if (csa_margin >= 0.0) batch.flow.csa_options.margin = csa_margin;
-    batch.flow.race = want_race;
-    batch.flow.race_options = race_options;
-    batch.flow.prove = want_prove;
-    batch.flow.prove_options = prove_options;
-    batch.flow.prove_fail_on = prove_fail_on;
-    return run_batch_mode(batch_circuits, batch);
-  }
+  if (batch_mode) return run_batch_mode(batch_circuits, batch);
 
   auto report = [&](const Diagnostic& d) {
     if (diag_json) {
@@ -346,17 +231,6 @@ int main(int argc, char** argv) {
                 min_stats.literals_before, min_stats.literals_after);
 
     // 2. Map with the SOI-aware flow, pruning unexcitable discharges.
-    FlowOptions options;
-    options.variant = FlowVariant::kSoiDominoMap;
-    options.sequence_aware = true;
-    options.exact_equivalence = true;
-    options.csa = want_csa;
-    if (csa_margin >= 0.0) options.csa_options.margin = csa_margin;
-    options.race = want_race;
-    options.race_options = race_options;
-    options.prove = want_prove;
-    options.prove_options = prove_options;
-    options.prove_fail_on = prove_fail_on;
     GuardOptions gopts;
     gopts.cancel = signal_cancel_token();
     const FlowOutcome outcome = run_flow_guarded(model, options, gopts);
@@ -365,14 +239,14 @@ int main(int argc, char** argv) {
     }
     if (!outcome.result.has_value()) return report(*outcome.diagnostic);
     const FlowResult& flow = *outcome.result;
+    const std::string artifact = path.empty() ? "cmp4.blif" : path;
     std::printf("[map]       %s\n", summarize(flow).c_str());
     std::printf("[seq-aware] pruned %d unexcitable discharge point(s)\n",
                 flow.discharges_pruned);
     std::printf("[lint]      %s\n", flow.lint.summary().c_str());
     if (want_lint) std::fputs(flow.lint.to_text().c_str(), stdout);
     if (!lint_sarif_path.empty()) {
-      write_file_atomic(lint_sarif_path,
-                        flow.lint.to_sarif(path.empty() ? "cmp4.blif" : path));
+      write_file_atomic(lint_sarif_path, flow.lint.to_sarif(artifact));
       std::printf("[lint]      wrote %s\n", lint_sarif_path.c_str());
     }
     if (flow.csa.has_value()) {
@@ -383,9 +257,7 @@ int main(int argc, char** argv) {
                   csa.gates_over_margin, csa.gates_keeper_overpowered,
                   csa.gates_truncated);
       if (!csa_sarif_path.empty()) {
-        write_file_atomic(
-            csa_sarif_path,
-            flow.csa->lint.to_sarif(path.empty() ? "cmp4.blif" : path));
+        write_file_atomic(csa_sarif_path, flow.csa->lint.to_sarif(artifact));
         std::printf("[csa]       wrote %s\n", csa_sarif_path.c_str());
       }
     }
@@ -397,9 +269,8 @@ int main(int argc, char** argv) {
                   race.critical_arrival, race.skew_tolerance,
                   race.gates_parity, race.gates_mix, race.gates_stale);
       if (!race_sarif_path.empty()) {
-        write_file_atomic(
-            race_sarif_path,
-            flow.race->lint.to_sarif(path.empty() ? "cmp4.blif" : path));
+        write_file_atomic(race_sarif_path,
+                          flow.race->lint.to_sarif(artifact));
         std::printf("[race]      wrote %s\n", race_sarif_path.c_str());
       }
     }

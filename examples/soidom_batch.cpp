@@ -4,53 +4,35 @@
 /// Table 1/2 sweeps (and any large mapping campaign) need: one hanging
 /// or crashing circuit no longer loses the run.
 ///
-///   build/examples/soidom_batch [options] [circuit.blif ...]
+///   build/examples/soidom_batch [flags] [circuit.blif ...]
 ///
 /// Job selection (default: every paper-table circuit):
 ///   --tables                 all circuits of the paper's four tables
 ///   --circuits=a,b,c         named benchmark-registry circuits
 ///   circuit.blif ...         BLIF files (journal key = the path)
 ///
-/// Resilience:
-///   --jobs=N                 jobs in flight (default 1; 0 = hardware)
-///   --timeout-ms=N           per-attempt wall-clock watchdog (0 = off)
-///   --attempts=N             retry budget per job (default 3)
-///   --backoff-ms=N           base retry backoff, jittered (default 50)
-///   --isolate                fork each attempt into a subprocess
-///   --journal=FILE           JSONL journal (default soidom_batch.jsonl)
-///   --manifest=FILE          merged manifest
-///                            (default soidom_batch.manifest.json)
-///   --resume                 skip jobs already terminal in the journal
-///   --inject=N/D@SEED        seeded per-(job,attempt) fault injection
+/// Its own flags:
 ///   --allow-failures         exit 0 when all jobs are terminal, even if
 ///                            some failed or were quarantined (soak mode)
 ///
-/// Flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N
-///             --seq-aware --exact --verify=N
-///             --csa --csa-margin=X  (static charge-sharing / PBE-safety
-///             analysis per job; the retry ladder shrinks its state
-///             enumeration before relaxing other limits — docs/CSA.md)
-///             --race --race-phases=N --race-teval=X --race-tpre=X
-///             --race-skew=X --race-margin=X  (static phase / race
-///             analysis per job; the ladder drops the clock windows
-///             before relaxing other limits — docs/RACE.md)
-///             --prove --prove-budget=N --prove-fail-on=SEV --prove-strict
-///             (exact proof tier over the analyzer findings; refuted
-///             findings are downgraded before the fail-on gates, and the
-///             verdict counts ride the journal / manifest byte-identically
-///             across --resume — docs/PROVE.md)
+/// It takes the batch-run group of soidom/batch/flags.hpp, which nests the
+/// job and flow groups.  Its defaults: --backoff-ms=50,
+/// --journal=soidom_batch.jsonl, --manifest=soidom_batch.manifest.json.
+/// The retry ladder shrinks the csa state enumeration and drops the race
+/// clock windows before relaxing other limits (docs/CSA.md,
+/// docs/RACE.md); proof verdict counts ride the journal and manifest
+/// byte-identically across --resume (docs/PROVE.md).
 ///
 /// Exit codes (docs/ERRORS.md): 0 all jobs ok (or terminal with
 /// --allow-failures), 7 some jobs failed/quarantined, 6 batch aborted
 /// (journal I/O), 130/143 interrupted by SIGINT/SIGTERM, 64 bad usage.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "soidom/base/strings.hpp"
-#include "soidom/batch/runner.hpp"
+#include "soidom/batch/flags.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/benchgen/registry.hpp"
 
@@ -59,48 +41,11 @@ using namespace soidom;
 namespace {
 
 [[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--tables] [--circuits=a,b,c] [--jobs=N] [--timeout-ms=N]\n"
-      "          [--attempts=N] [--backoff-ms=N] [--isolate]\n"
-      "          [--journal=FILE] [--manifest=FILE] [--resume]\n"
-      "          [--inject=N/D@SEED] [--allow-failures]\n"
-      "          [--flow=domino|rs|soi] [--wmax=N] [--hmax=N]\n"
-      "          [--seq-aware] [--exact] [--verify=N]\n"
-      "          [--csa] [--csa-margin=X]\n"
-      "          [--race] [--race-phases=N] [--race-teval=X] [--race-tpre=X]\n"
-      "          [--race-skew=X] [--race-margin=X]\n"
-      "          [--prove] [--prove-budget=N]\n"
-      "          [--prove-fail-on=error|warning|info] [--prove-strict]\n"
-      "          [circuit.blif ...]\n",
-      argv0);
+  std::fprintf(stderr,
+               "usage: %s [flags] [circuit.blif ...]\n"
+               "  [--tables] [--circuits=a,b,c] [--allow-failures]\n%s%s%s",
+               argv0, kBatchRunFlagsUsage, kJobFlagsUsage, kFlowFlagsUsage);
   std::exit(64);
-}
-
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= list.size()) {
-    const std::size_t comma = list.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) out.push_back(list.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> all_table_circuits() {
-  std::vector<std::string> out;
-  for (const auto& list : {table1_circuits(), table2_circuits(),
-                           table3_circuits(), table4_circuits()}) {
-    for (const std::string& name : list) {
-      bool seen = false;
-      for (const std::string& have : out) seen = seen || have == name;
-      if (!seen) out.push_back(name);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -115,135 +60,32 @@ int main(int argc, char** argv) {
   std::vector<std::string> named;
   std::vector<std::string> files;
 
-  // Strict numeric parses: atoi/atof would turn "--jobs=all" or
-  // "--csa-margin=high" into 0 silently.
-  auto int_flag = [&](const std::string& text, const char* flag, int* out) {
-    if (!parse_int_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
-                   text.c_str());
-      usage(argv[0]);
-    }
-  };
-  auto double_flag = [&](const std::string& text, const char* flag,
-                         double* out) {
-    if (!parse_double_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs a number, got '%s'\n", flag,
-                   text.c_str());
-      usage(argv[0]);
-    }
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tables") {
-      want_tables = true;
-    } else if (arg.rfind("--circuits=", 0) == 0) {
-      for (auto& name : split_names(arg.substr(11))) named.push_back(name);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      int_flag(arg.substr(7), "--jobs", &options.max_parallel);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      int timeout_ms = 0;
-      int_flag(arg.substr(13), "--timeout-ms", &timeout_ms);
-      options.job_timeout_ms = timeout_ms;
-    } else if (arg.rfind("--attempts=", 0) == 0) {
-      int_flag(arg.substr(11), "--attempts", &options.retry.max_attempts);
-    } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      int_flag(arg.substr(13), "--backoff-ms",
-               &options.retry.backoff_base_ms);
-    } else if (arg == "--isolate") {
-      options.isolate = true;
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      options.journal_path = arg.substr(10);
-    } else if (arg.rfind("--manifest=", 0) == 0) {
-      options.manifest_path = arg.substr(11);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      unsigned long long numer = 0;
-      unsigned long long denom = 0;
-      unsigned long long seed = 0;
-      if (std::sscanf(arg.c_str() + 9, "%llu/%llu@%llu", &numer, &denom,
-                      &seed) != 3 ||
-          denom == 0) {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const Flag flag(argv[i]);
+      if (parse_batch_run_flag(flag, options)) continue;
+      if (flag.is("--tables")) {
+        want_tables = true;
+      } else if (flag.has("--circuits")) {
+        for (const std::string_view name : split(flag.value(), ",")) {
+          named.emplace_back(name);
+        }
+      } else if (flag.is("--allow-failures")) {
+        allow_failures = true;
+      } else if (starts_with(argv[i], "--")) {
         usage(argv[0]);
+      } else {
+        files.emplace_back(argv[i]);
       }
-      options.fault = BatchFaultPlan{seed, numer, denom};
-    } else if (arg == "--allow-failures") {
-      allow_failures = true;
-    } else if (arg == "--flow=domino") {
-      options.flow.variant = FlowVariant::kDominoMap;
-    } else if (arg == "--flow=rs") {
-      options.flow.variant = FlowVariant::kRsMap;
-    } else if (arg == "--flow=soi") {
-      options.flow.variant = FlowVariant::kSoiDominoMap;
-    } else if (arg.rfind("--wmax=", 0) == 0) {
-      int_flag(arg.substr(7), "--wmax", &options.flow.mapper.max_width);
-    } else if (arg.rfind("--hmax=", 0) == 0) {
-      int_flag(arg.substr(7), "--hmax", &options.flow.mapper.max_height);
-    } else if (arg == "--seq-aware") {
-      options.flow.sequence_aware = true;
-    } else if (arg == "--exact") {
-      options.flow.exact_equivalence = true;
-    } else if (arg.rfind("--verify=", 0) == 0) {
-      int_flag(arg.substr(9), "--verify", &options.flow.verify_rounds);
-    } else if (arg == "--csa") {
-      options.flow.csa = true;
-    } else if (arg.rfind("--csa-margin=", 0) == 0) {
-      options.flow.csa = true;
-      double_flag(arg.substr(13), "--csa-margin",
-                  &options.flow.csa_options.margin);
-    } else if (arg == "--race") {
-      options.flow.race = true;
-    } else if (arg.rfind("--race-phases=", 0) == 0) {
-      options.flow.race = true;
-      int_flag(arg.substr(14), "--race-phases",
-               &options.flow.race_options.num_phases);
-    } else if (arg.rfind("--race-teval=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(13), "--race-teval",
-                  &options.flow.race_options.t_eval);
-    } else if (arg.rfind("--race-tpre=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(12), "--race-tpre",
-                  &options.flow.race_options.t_pre);
-    } else if (arg.rfind("--race-skew=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(12), "--race-skew",
-                  &options.flow.race_options.skew);
-    } else if (arg.rfind("--race-margin=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(14), "--race-margin",
-                  &options.flow.race_options.margin);
-    } else if (arg == "--prove") {
-      options.flow.prove = true;
-    } else if (arg.rfind("--prove-budget=", 0) == 0) {
-      options.flow.prove = true;
-      int budget = 0;
-      int_flag(arg.substr(15), "--prove-budget", &budget);
-      options.flow.prove_options.node_budget =
-          static_cast<std::uint32_t>(budget);
-    } else if (arg == "--prove-fail-on=error") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kError;
-    } else if (arg == "--prove-fail-on=warning") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kWarning;
-    } else if (arg == "--prove-fail-on=info") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kInfo;
-    } else if (arg == "--prove-strict") {
-      options.flow.prove = true;
-      options.flow.prove_options.fail_on_budget = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      usage(argv[0]);
-    } else {
-      files.push_back(arg);
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   }
 
   std::vector<BatchJob> jobs;
   if (want_tables || (named.empty() && files.empty())) {
-    for (const std::string& name : all_table_circuits()) {
+    for (const std::string& name : paper_table_circuits()) {
       jobs.push_back(BatchJob{name, ""});
     }
   }

@@ -1,7 +1,7 @@
 /// Crash-only persistent mapping service front end (docs/SERVE.md).
 ///
-///   build/examples/soidom_serve serve  --socket=PATH [options]
-///   build/examples/soidom_serve submit --socket=PATH [jobs...] [options]
+///   build/examples/soidom_serve serve  --socket=PATH [flags]
+///   build/examples/soidom_serve submit --socket=PATH [jobs...] [flags]
 ///   build/examples/soidom_serve ping   --socket=PATH
 ///   build/examples/soidom_serve stats  --socket=PATH
 ///
@@ -16,21 +16,19 @@
 /// and optionally writes a manifest byte-identical to what an offline
 /// soidom_batch run over the same jobs would produce.
 ///
-/// serve options:
+/// serve flags:
 ///   --socket=PATH            Unix-domain socket path (required)
 ///   --spill=FILE             cone-cache spill journal (default: none)
 ///   --cache-mb=N             in-memory cache budget (default 256)
 ///   --no-durable             skip per-append fsync (tests)
 ///   --max-connections=N      concurrent clients (default 32)
 ///   --max-in-flight=N        concurrent map jobs (default 4)
-///   --timeout-ms=N           default per-job watchdog (0 = none)
-///   --attempts=N             retry budget per job (default 3)
 ///   --report=FILE            write the final JSON report here too
-///   --inject=N/D@SEED        seeded per-(job,attempt) fault injection
-///   flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N
-///               --seq-aware --exact --verify=N
+///   and the job group of soidom/batch/flags.hpp, which nests the flow
+///   group.  The batch-run group is rejected: a served job runs alone,
+///   in process, without a journal.
 ///
-/// submit options:
+/// submit flags:
 ///   --circuits=a,b,c         named benchmark-registry circuits
 ///   circuit.blif ...         BLIF files (job key = the path)
 ///   --deadline-ms=N          per-request deadline override
@@ -48,6 +46,7 @@
 
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
+#include "soidom/batch/flags.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/serve/server.hpp"
 
@@ -60,96 +59,45 @@ namespace {
       stderr,
       "usage: %s serve  --socket=PATH [--spill=FILE] [--cache-mb=N]\n"
       "                 [--no-durable] [--max-connections=N]\n"
-      "                 [--max-in-flight=N] [--timeout-ms=N] [--attempts=N]\n"
-      "                 [--report=FILE] [--inject=N/D@SEED]\n"
-      "                 [--flow=domino|rs|soi] [--wmax=N] [--hmax=N]\n"
-      "                 [--seq-aware] [--exact] [--verify=N]\n"
+      "                 [--max-in-flight=N] [--report=FILE] [flags]\n"
       "       %s submit --socket=PATH [--circuits=a,b,c] [--deadline-ms=N]\n"
       "                 [--manifest=FILE] [circuit.blif ...]\n"
       "       %s ping   --socket=PATH\n"
-      "       %s stats  --socket=PATH\n",
-      argv0, argv0, argv0, argv0);
+      "       %s stats  --socket=PATH\n"
+      "serve %s%s",
+      argv0, argv0, argv0, argv0, kJobFlagsUsage, kFlowFlagsUsage);
   std::exit(64);
-}
-
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= list.size()) {
-    const std::size_t comma = list.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) out.push_back(list.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
 }
 
 int run_serve(int argc, char** argv) {
   ServeOptions options;
   std::string report_path;
-  auto int_flag = [&](const std::string& text, const char* flag, int* out) {
-    if (!parse_int_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
-                   text.c_str());
-      usage(argv[0]);
-    }
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      options.socket_path = arg.substr(9);
-    } else if (arg.rfind("--spill=", 0) == 0) {
-      options.cache.spill_path = arg.substr(8);
-    } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      int mb = 0;
-      int_flag(arg.substr(11), "--cache-mb", &mb);
-      if (mb < 1) usage(argv[0]);
-      options.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
-    } else if (arg == "--no-durable") {
-      options.cache.durable = false;
-    } else if (arg.rfind("--max-connections=", 0) == 0) {
-      int_flag(arg.substr(18), "--max-connections", &options.max_connections);
-    } else if (arg.rfind("--max-in-flight=", 0) == 0) {
-      int_flag(arg.substr(16), "--max-in-flight", &options.max_in_flight);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      int timeout_ms = 0;
-      int_flag(arg.substr(13), "--timeout-ms", &timeout_ms);
-      options.batch.job_timeout_ms = timeout_ms;
-    } else if (arg.rfind("--attempts=", 0) == 0) {
-      int_flag(arg.substr(11), "--attempts",
-               &options.batch.retry.max_attempts);
-    } else if (arg.rfind("--report=", 0) == 0) {
-      report_path = arg.substr(9);
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      unsigned long long numer = 0;
-      unsigned long long denom = 0;
-      unsigned long long seed = 0;
-      if (std::sscanf(arg.c_str() + 9, "%llu/%llu@%llu", &numer, &denom,
-                      &seed) != 3 ||
-          denom == 0) {
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const Flag flag(argv[i]);
+      if (parse_job_flag(flag, options.batch)) continue;
+      if (flag.has("--socket")) {
+        options.socket_path = flag.value();
+      } else if (flag.has("--spill")) {
+        options.cache.spill_path = flag.value();
+      } else if (flag.has("--cache-mb")) {
+        options.cache.max_bytes = static_cast<std::size_t>(flag.integer(1))
+                                  << 20;
+      } else if (flag.is("--no-durable")) {
+        options.cache.durable = false;
+      } else if (flag.has("--max-connections")) {
+        options.max_connections = flag.integer();
+      } else if (flag.has("--max-in-flight")) {
+        options.max_in_flight = flag.integer();
+      } else if (flag.has("--report")) {
+        report_path = flag.value();
+      } else {
         usage(argv[0]);
       }
-      options.batch.fault = BatchFaultPlan{seed, numer, denom};
-    } else if (arg == "--flow=domino") {
-      options.batch.flow.variant = FlowVariant::kDominoMap;
-    } else if (arg == "--flow=rs") {
-      options.batch.flow.variant = FlowVariant::kRsMap;
-    } else if (arg == "--flow=soi") {
-      options.batch.flow.variant = FlowVariant::kSoiDominoMap;
-    } else if (arg.rfind("--wmax=", 0) == 0) {
-      int_flag(arg.substr(7), "--wmax", &options.batch.flow.mapper.max_width);
-    } else if (arg.rfind("--hmax=", 0) == 0) {
-      int_flag(arg.substr(7), "--hmax", &options.batch.flow.mapper.max_height);
-    } else if (arg == "--seq-aware") {
-      options.batch.flow.sequence_aware = true;
-    } else if (arg == "--exact") {
-      options.batch.flow.exact_equivalence = true;
-    } else if (arg.rfind("--verify=", 0) == 0) {
-      int_flag(arg.substr(9), "--verify", &options.batch.flow.verify_rounds);
-    } else {
-      usage(argv[0]);
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   }
   if (options.socket_path.empty()) usage(argv[0]);
 
@@ -187,23 +135,28 @@ int run_submit(int argc, char** argv) {
   std::int64_t deadline_ms = 0;
   std::vector<std::string> named;
   std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else if (arg.rfind("--circuits=", 0) == 0) {
-      for (auto& name : split_names(arg.substr(11))) named.push_back(name);
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      int ms = 0;
-      if (!parse_int_strict(arg.substr(14), &ms) || ms < 0) usage(argv[0]);
-      deadline_ms = ms;
-    } else if (arg.rfind("--manifest=", 0) == 0) {
-      manifest_path = arg.substr(11);
-    } else if (arg.rfind("--", 0) == 0) {
-      usage(argv[0]);
-    } else {
-      files.push_back(arg);
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const Flag flag(argv[i]);
+      if (flag.has("--socket")) {
+        socket_path = flag.value();
+      } else if (flag.has("--circuits")) {
+        for (const std::string_view name : split(flag.value(), ",")) {
+          named.emplace_back(name);
+        }
+      } else if (flag.has("--deadline-ms")) {
+        deadline_ms = flag.integer(0);
+      } else if (flag.has("--manifest")) {
+        manifest_path = flag.value();
+      } else if (starts_with(argv[i], "--")) {
+        usage(argv[0]);
+      } else {
+        files.emplace_back(argv[i]);
+      }
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   }
   if (socket_path.empty() || (named.empty() && files.empty())) usage(argv[0]);
 
@@ -279,12 +232,9 @@ int run_submit(int argc, char** argv) {
 int run_simple(int argc, char** argv, ServeRequest::Kind kind) {
   std::string socket_path;
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else {
-      usage(argv[0]);
-    }
+    const Flag flag(argv[i]);
+    if (!flag.has("--socket")) usage(argv[0]);
+    socket_path = flag.value();
   }
   if (socket_path.empty()) usage(argv[0]);
   ServeRequest request;

@@ -34,6 +34,10 @@ std::vector<std::string> table2_circuits();  ///< Domino_Map vs SOI_Domino_Map
 std::vector<std::string> table3_circuits();  ///< clock-weight k = 1 vs 2
 std::vector<std::string> table4_circuits();  ///< depth objective
 
+/// The union of the four tables' circuits, in first-seen order (table 1's
+/// rows first, then each later table's new rows).
+std::vector<std::string> paper_table_circuits();
+
 /// Large synthetic circuits (roughly 100k to 1M AND/OR nodes after unate
 /// conversion) for mapper scaling benchmarks: deep multipliers, SPN
 /// stacks, and layered random DAGs with controlled level width.

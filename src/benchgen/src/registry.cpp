@@ -1,5 +1,6 @@
 #include "soidom/benchgen/registry.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -121,6 +122,19 @@ std::vector<std::string> table3_circuits() {
           "c8",    "f51m", "9symml", "apex7", "x1",    "c432",  "i6",
           "c1908", "t481", "c499",  "c1355",  "dalu",  "k2",    "apex6",
           "rot",   "c2670", "c5315", "c3540", "des",   "c7552"};
+}
+
+std::vector<std::string> paper_table_circuits() {
+  std::vector<std::string> out;
+  for (const auto& list : {table1_circuits(), table2_circuits(),
+                           table3_circuits(), table4_circuits()}) {
+    for (const std::string& name : list) {
+      if (std::find(out.begin(), out.end(), name) == out.end()) {
+        out.push_back(name);
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<std::string> scale_circuits() {

@@ -1,6 +1,7 @@
 #include "soidom/core/flow.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "soidom/base/strings.hpp"
 #include "soidom/domino/exact.hpp"
@@ -34,6 +35,33 @@ void enter(GuardContext& guard, FlowStage stage) {
 Diagnostic warning_from(const GuardError& e, const std::string& note) {
   Diagnostic d = e.to_diagnostic();
   d.context.push_back(note);
+  return d;
+}
+
+/// The analyzer fail-on gate: the findings of `reports` at or above
+/// `at_least` that are not waived (with `confirmed_only`, also proven by
+/// the proof tier) fail the flow in `stage`, one context line each, and
+/// the message ends with `summarized.summary()`.  Null reports are
+/// skipped.
+template <typename Summarized>
+std::optional<Diagnostic> fail_on_gate(
+    FlowStage stage, const char* what, LintSeverity at_least,
+    const Summarized& summarized,
+    std::initializer_list<const LintReport*> reports, bool confirmed_only) {
+  Diagnostic d{ErrorCode::kVerificationFailed, stage, "", {}};
+  for (const LintReport* report : reports) {
+    if (report == nullptr) continue;
+    for (const Finding& f : report->findings) {
+      if (!f.waived && f.severity >= at_least &&
+          (!confirmed_only || f.proof == ProofStatus::kConfirmed)) {
+        d.context.push_back(f.to_string());
+      }
+    }
+  }
+  if (d.context.empty()) return std::nullopt;
+  d.message = format("%s at severity >= %s: %s", what,
+                     lint_severity_name(at_least),
+                     summarized.summary().c_str());
   return d;
 }
 
@@ -228,80 +256,42 @@ void run_stage_sequence(const Network& source, const FlowOptions& options,
   }
 
   // Verification mismatches become a Diagnostic, but the mapped netlist
-  // is still returned for triage.
+  // is still returned for triage.  The first failing gate wins: the
+  // structure check; lint, csa, race and prove; function, exact and the
+  // DP cross-check.  A CONFIRMED finding is a proven hazard, not a
+  // conservative bound, so it fails the flow at prove_fail_on even when
+  // its family's own gate is looser; it keeps its original severity.
   if (!result.structure.ok()) {
     out.diagnostic = Diagnostic{ErrorCode::kVerificationFailed,
                                 FlowStage::kVerifyStructure,
                                 result.structure.to_string(),
                                 {}};
-  } else if (!result.lint.clean(options.lint_fail_on)) {
-    // Sub-error findings only reach here when the caller tightened
-    // lint_fail_on below kError (errors fail via `structure` above).
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kLint,
-                 format("lint failed at severity >= %s: %s",
-                        lint_severity_name(options.lint_fail_on),
-                        result.lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.lint.findings) {
-      if (f.severity >= options.lint_fail_on) d.context.push_back(f.to_string());
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.csa.has_value() &&
-             !result.csa->lint.clean(options.csa_fail_on)) {
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kCsa,
-                 format("charge-sharing analysis failed at severity >= %s: %s",
-                        lint_severity_name(options.csa_fail_on),
-                        result.csa->lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.csa->lint.findings) {
-      if (!f.waived && f.severity >= options.csa_fail_on) {
-        d.context.push_back(f.to_string());
-      }
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.race.has_value() &&
-             !result.race->lint.clean(options.race_fail_on)) {
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kRace,
-                 format("race analysis failed at severity >= %s: %s",
-                        lint_severity_name(options.race_fail_on),
-                        result.race->lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.race->lint.findings) {
-      if (!f.waived && f.severity >= options.race_fail_on) {
-        d.context.push_back(f.to_string());
-      }
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.prove.has_value() && [&] {
-               for (const ProofRecord& r : result.prove->records) {
-                 if (r.status == ProofStatus::kConfirmed) return true;
-               }
-               return false;
-             }()) {
-    // A CONFIRMED finding is a proven hazard, not a conservative bound:
-    // it fails the flow at prove_fail_on even when its family's own gate
-    // is looser.  (Severity is checked per finding below; confirmed
-    // findings keep their original severity.)
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kProve,
-                 format("proof tier confirmed findings at severity >= %s: %s",
-                        lint_severity_name(options.prove_fail_on),
-                        result.prove->summary().c_str()),
-                 {}};
-    const auto gate_confirmed = [&](const LintReport& report) {
-      for (const Finding& f : report.findings) {
-        if (!f.waived && f.proof == ProofStatus::kConfirmed &&
-            f.severity >= options.prove_fail_on) {
-          d.context.push_back(f.to_string());
-        }
-      }
-    };
-    gate_confirmed(result.lint);
-    if (result.csa.has_value()) gate_confirmed(result.csa->lint);
-    if (result.race.has_value()) gate_confirmed(result.race->lint);
-    if (!d.context.empty()) out.diagnostic = std::move(d);
   }
-  if (out.diagnostic.has_value()) {
-    // first failing gate wins; fall through to the epilogue
+  if (!out.diagnostic) {
+    out.diagnostic = fail_on_gate(FlowStage::kLint, "lint failed",
+                                  options.lint_fail_on, result.lint,
+                                  {&result.lint}, false);
+  }
+  if (!out.diagnostic && result.csa) {
+    out.diagnostic = fail_on_gate(
+        FlowStage::kCsa, "charge-sharing analysis failed", options.csa_fail_on,
+        result.csa->lint, {&result.csa->lint}, false);
+  }
+  if (!out.diagnostic && result.race) {
+    out.diagnostic = fail_on_gate(FlowStage::kRace, "race analysis failed",
+                                  options.race_fail_on, result.race->lint,
+                                  {&result.race->lint}, false);
+  }
+  if (!out.diagnostic && result.prove) {
+    out.diagnostic = fail_on_gate(
+        FlowStage::kProve, "proof tier confirmed findings",
+        options.prove_fail_on, *result.prove,
+        {&result.lint, result.csa ? &result.csa->lint : nullptr,
+         result.race ? &result.race->lint : nullptr},
+        true);
+  }
+  if (out.diagnostic) {
+    // Keep the first failure.
   } else if (!result.function.ok()) {
     out.diagnostic = Diagnostic{ErrorCode::kVerificationFailed,
                                 FlowStage::kVerifyFunction,

@@ -8,7 +8,8 @@
 ///
 ///   committed  — weighted cost already spent (logic transistors, gate
 ///                overheads of absorbed sub-gates, committed discharge
-///                transistors),
+///                transistors); a fanout-point gate below is billed once,
+///                at its own root, so it adds only the nMOS it drives,
 ///   p_bot      — pending discharge points owned by the structure's bottom
 ///                parallel stack (commit when the bottom leaves ground),
 ///   p_above    — pending series junctions higher up (commit only in an

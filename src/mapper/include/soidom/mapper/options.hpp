@@ -62,8 +62,11 @@ struct MapperOptions {
   /// separately grounded.  Off by default to match the paper's tables.
   bool enable_complex_gates = false;
 
-  /// Nodes with fanout > 1 always form gates.  When false (ablation), the
-  /// DP may instead duplicate such cones into each fanout.
+  /// Nodes with fanout > 1 always form gates, each billed once at its own
+  /// root.  When false (ablation), the DP may instead duplicate such cones
+  /// into each fanout, so a shared cone's cost is billed once per path:
+  /// the duplicated logic is real, and costs can grow exponentially with
+  /// reconvergent depth.
   bool gate_at_fanout = true;
 
   /// Unused: the DP is one serial pass, and the mapper neither reads nor

@@ -636,10 +636,18 @@ class MapperImpl {
     gate_cost_[id.value] = best_eval.cost;
     gate_level_[id.value] = best_eval.level;
 
+    // A gate leaf's `committed` is what using the gate adds to a parent:
+    // the next level's nMOS plus the gate itself.  A fanout-point gate is
+    // formed anyway and billed once, at its own root, so its leaf adds
+    // the nMOS alone; billing it per path grows costs exponentially with
+    // reconvergent depth.
     Cand leaf;
     leaf.op = Cand::Op::kGateLeaf;
     leaf.leaf = id.value;
-    leaf.committed = best_eval.cost + kCostUnitsPerTransistor;
+    leaf.committed = kCostUnitsPerTransistor;
+    if (!opts_.gate_at_fanout || fanout_[id.value] <= 1) {
+      leaf.committed += best_eval.cost;
+    }
     leaf.level = static_cast<std::int16_t>(best_eval.level);
     gate_leaf_[id.value] = leaf;
 

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "../src/batch/src/internal.hpp"
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
+#include "soidom/batch/flags.hpp"
 #include "soidom/batch/runner.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/guard/fault.hpp"
@@ -700,6 +702,158 @@ TEST(Signals, ExitCodesFollowConvention) {
   EXPECT_EQ(signal_exit_code(SIGINT), 130);
   EXPECT_EQ(signal_exit_code(SIGTERM), 143);
   EXPECT_EQ(signal_exit_code(0), 1);
+}
+
+// ---------------------------------------------------------------------------
+// The shared CLI flag parser (flags.hpp).
+
+/// Argv entries applied in order, and the fields they must have set.
+template <typename Options>
+struct FlagCase {
+  std::vector<const char*> args;
+  std::function<bool(const Options&)> applied;
+};
+
+TEST(Flags, FlowFlagsSetTheirFields) {
+  using F = const FlowOptions&;
+  const std::vector<FlagCase<FlowOptions>> cases = {
+      {{"--flow=domino"}, [](F f) { return f.variant == FlowVariant::kDominoMap; }},
+      {{"--flow=rs"}, [](F f) { return f.variant == FlowVariant::kRsMap; }},
+      {{"--flow=rs", "--flow=soi"},
+       [](F f) { return f.variant == FlowVariant::kSoiDominoMap; }},
+      {{"--objective=depth"},
+       [](F f) { return f.mapper.objective == CostObjective::kDepth; }},
+      {{"--objective=depth", "--objective=area"},
+       [](F f) { return f.mapper.objective == CostObjective::kArea; }},
+      {{"--wmax=3"}, [](F f) { return f.mapper.max_width == 3; }},
+      {{"--hmax=7"}, [](F f) { return f.mapper.max_height == 7; }},
+      {{"--k=2.5"}, [](F f) { return f.mapper.clock_weight == 2.5; }},
+      {{"--minimize"}, [](F f) { return f.decompose.minimize_covers; }},
+      {{"--seq-aware"}, [](F f) { return f.sequence_aware; }},
+      {{"--exact"}, [](F f) { return f.exact_equivalence; }},
+      {{"--verify=5"}, [](F f) { return f.verify_rounds == 5; }},
+      {{"--lint-fail-on=warning"},
+       [](F f) { return f.lint_fail_on == LintSeverity::kWarning; }},
+      {{"--lint-fail-on=info", "--lint-fail-on=error"},
+       [](F f) { return f.lint_fail_on == LintSeverity::kError; }},
+      {{"--csa"}, [](F f) { return f.csa; }},
+      {{"--csa-margin=0.1"},
+       [](F f) { return f.csa && f.csa_options.margin == 0.1; }},
+      {{"--race"}, [](F f) { return f.race; }},
+      {{"--race-fail-on=info"},
+       [](F f) { return f.race && f.race_fail_on == LintSeverity::kInfo; }},
+      {{"--race-phases=2"},
+       [](F f) { return f.race && f.race_options.num_phases == 2; }},
+      {{"--race-teval=1.5"},
+       [](F f) { return f.race && f.race_options.t_eval == 1.5; }},
+      {{"--race-tpre=0.75"},
+       [](F f) { return f.race && f.race_options.t_pre == 0.75; }},
+      {{"--race-skew=0.1"},
+       [](F f) { return f.race && f.race_options.skew == 0.1; }},
+      {{"--race-margin=0.2"},
+       [](F f) { return f.race && f.race_options.margin == 0.2; }},
+      {{"--prove"}, [](F f) { return f.prove; }},
+      {{"--prove-budget=4096"},
+       [](F f) { return f.prove && f.prove_options.node_budget == 4096u; }},
+      {{"--prove-fail-on=warning"},
+       [](F f) { return f.prove && f.prove_fail_on == LintSeverity::kWarning; }},
+      {{"--prove-strict"},
+       [](F f) { return f.prove && f.prove_options.fail_on_budget; }},
+  };
+  for (const auto& c : cases) {
+    FlowOptions flow;
+    EXPECT_FALSE(flow.csa || flow.race || flow.prove);
+    for (const char* arg : c.args) {
+      EXPECT_TRUE(parse_flow_flag(Flag(arg), flow)) << arg;
+    }
+    EXPECT_TRUE(c.applied(flow)) << c.args.back();
+    // The same entries reach the flow through the job and run groups.
+    BatchOptions batch;
+    for (const char* arg : c.args) {
+      EXPECT_TRUE(parse_batch_run_flag(Flag(arg), batch)) << arg;
+    }
+    EXPECT_TRUE(c.applied(batch.flow)) << c.args.back();
+  }
+}
+
+TEST(Flags, JobAndRunFlagsSetTheirFields) {
+  using B = const BatchOptions&;
+  const std::vector<FlagCase<BatchOptions>> job_cases = {
+      {{"--timeout-ms=250"}, [](B b) { return b.job_timeout_ms == 250; }},
+      {{"--attempts=5"}, [](B b) { return b.retry.max_attempts == 5; }},
+      {{"--backoff-ms=10"}, [](B b) { return b.retry.backoff_base_ms == 10; }},
+      {{"--inject=1/6@7"},
+       [](B b) {
+         return b.fault.numer == 1 && b.fault.denom == 6 && b.fault.seed == 7;
+       }},
+      {{"--wmax=3"}, [](B b) { return b.flow.mapper.max_width == 3; }},
+  };
+  const std::vector<FlagCase<BatchOptions>> run_cases = {
+      {{"--jobs=4"}, [](B b) { return b.max_parallel == 4; }},
+      {{"--isolate"}, [](B b) { return b.isolate; }},
+      {{"--journal=j.jsonl"}, [](B b) { return b.journal_path == "j.jsonl"; }},
+      {{"--manifest=m.json"}, [](B b) { return b.manifest_path == "m.json"; }},
+      {{"--resume"}, [](B b) { return b.resume; }},
+  };
+  for (const auto& c : job_cases) {
+    BatchOptions job;
+    BatchOptions run;
+    for (const char* arg : c.args) {
+      EXPECT_TRUE(parse_job_flag(Flag(arg), job)) << arg;
+      EXPECT_TRUE(parse_batch_run_flag(Flag(arg), run)) << arg;
+    }
+    EXPECT_TRUE(c.applied(job)) << c.args.back();
+    EXPECT_TRUE(c.applied(run)) << c.args.back();
+  }
+  for (const auto& c : run_cases) {
+    BatchOptions run;
+    for (const char* arg : c.args) {
+      EXPECT_TRUE(parse_batch_run_flag(Flag(arg), run)) << arg;
+      // The groups nested in the run flags decline them.
+      BatchOptions job;
+      EXPECT_FALSE(parse_job_flag(Flag(arg), job)) << arg;
+      EXPECT_FALSE(parse_flow_flag(Flag(arg), job.flow)) << arg;
+    }
+    EXPECT_TRUE(c.applied(run)) << c.args.back();
+  }
+}
+
+TEST(Flags, MalformedValuesAreErrors) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--wmax=big", "--wmax needs an integer, got 'big'"},
+      {"--csa-margin=high", "--csa-margin needs a number, got 'high'"},
+      {"--prove-budget=-1",
+       "--prove-budget needs a non-negative integer, got '-1'"},
+      {"--timeout-ms=-5", "--timeout-ms needs a non-negative integer, got '-5'"},
+      {"--inject=1/0@3", "--inject needs N/D@SEED with D > 0, got '1/0@3'"},
+      {"--flow=xyz", "--flow needs domino|rs|soi, got 'xyz'"},
+      {"--lint-fail-on=loud", "--lint-fail-on needs error|warning|info, got 'loud'"},
+      {"--jobs=", "--jobs needs an integer, got ''"},
+  };
+  for (const auto& [arg, message] : cases) {
+    BatchOptions batch;
+    try {
+      parse_batch_run_flag(Flag(arg), batch);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+}
+
+TEST(Flags, OtherEntriesAreNotConsumed) {
+  for (const char* arg : {"--bogus", "--dump", "--tables", "circuit.blif", "-",
+                          "--csa=1", "--wmax", "--batch=z4ml"}) {
+    BatchOptions batch;
+    EXPECT_FALSE(parse_flow_flag(Flag(arg), batch.flow)) << arg;
+    EXPECT_FALSE(parse_job_flag(Flag(arg), batch)) << arg;
+    EXPECT_FALSE(parse_batch_run_flag(Flag(arg), batch)) << arg;
+    EXPECT_FALSE(batch.flow.csa) << arg;
+  }
+  const Flag flag("--journal=a=b");
+  EXPECT_TRUE(flag.has("--journal"));
+  EXPECT_FALSE(flag.is("--journal"));
+  EXPECT_EQ(flag.value(), "a=b");
 }
 
 TEST(Signals, ReceivedSignalStopsSchedulingAndSkipsManifest) {

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "helpers.hpp"
+#include "soidom/base/hash.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 
@@ -107,6 +108,62 @@ TEST(Flow, DepthObjectiveReducesLevels) {
   EXPECT_TRUE(ra.ok());
   EXPECT_TRUE(rd.ok());
   EXPECT_LE(rd.stats.levels, ra.stats.levels);
+}
+
+/// The analyzer fail-on gates' Diagnostics (code, stage, message and one
+/// context line per failing finding) are byte-identical to the ones the
+/// four per-analyzer gate blocks built before they became one function.
+TEST(Flow, FailOnGateDiagnosticsArePinned) {
+  struct Case {
+    const char* name;
+    FlowOptions options;
+    FlowStage stage;
+    std::uint64_t pin;
+  };
+  std::vector<Case> cases(4);
+  cases[0].name = "csa";
+  cases[0].options.csa = true;
+  cases[0].options.csa_options.margin = 0.0;
+  cases[0].options.csa_fail_on = LintSeverity::kWarning;
+  cases[0].stage = FlowStage::kCsa;
+  cases[0].pin = 0x4d0311e1c1040817ull;
+  cases[1].name = "race";
+  cases[1].options.race = true;
+  cases[1].options.race_options.t_eval = 0.5;
+  cases[1].options.race_fail_on = LintSeverity::kWarning;
+  cases[1].stage = FlowStage::kRace;
+  cases[1].pin = 0xf44bc3ac9a612266ull;
+  cases[2].name = "prove";
+  cases[2].options.csa = true;
+  cases[2].options.csa_options.margin = 0.05;
+  // Strong enough that no csa error fires before the prove gate.
+  cases[2].options.csa_options.keeper_strength = 3;
+  cases[2].options.race = true;
+  cases[2].options.prove = true;
+  cases[2].options.prove_fail_on = LintSeverity::kWarning;
+  cases[2].stage = FlowStage::kProve;
+  cases[2].pin = 0x286c09197a893b83ull;
+  cases[3].name = "csa+race";
+  cases[3].options = cases[0].options;
+  cases[3].options.race = true;
+  cases[3].options.race_options = cases[1].options.race_options;
+  cases[3].options.race_fail_on = LintSeverity::kWarning;
+  cases[3].stage = FlowStage::kCsa;  // the first failing gate wins
+  cases[3].pin = cases[0].pin;
+  for (Case& c : cases) {
+    c.options.verify_rounds = 0;
+    const FlowOutcome outcome =
+        run_flow_guarded(testing::fig3_network(), c.options);
+    ASSERT_TRUE(outcome.result.has_value()) << c.name;
+    ASSERT_TRUE(outcome.diagnostic.has_value()) << c.name;
+    EXPECT_EQ(outcome.diagnostic->code, ErrorCode::kVerificationFailed);
+    EXPECT_EQ(outcome.diagnostic->stage, c.stage) << c.name;
+    EXPECT_FALSE(outcome.diagnostic->context.empty()) << c.name;
+    const std::string json = outcome.diagnostic->to_json();
+    EXPECT_EQ(fnv1a64(json), c.pin)
+        << c.name << std::hex << " 0x" << fnv1a64(json) << "\n"
+        << json;
+  }
 }
 
 class FlowBenchmarkProperty : public ::testing::TestWithParam<std::string> {};

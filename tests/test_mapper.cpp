@@ -450,8 +450,6 @@ TEST(Mapper, NetlistsArePinned) {
     const char* name;
     Network net;
   };
-  // mult24's DP costs overflow int64 (DESIGN.md section 8), so a
-  // -fsanitize=undefined build stops on it.
   const Generated generated[] = {
       {"mult24", gen_multiplier(24)},
       {"dag128x40", gen_layered_dag(128, 40, 85, 0x7E57)},
@@ -557,6 +555,52 @@ TEST(Mapper, OracleMapIsMemoizedAndReentrant) {
       EXPECT_EQ(after[k].height, before[k].height);
       EXPECT_EQ(after[k].committed, before[k].committed);
     }
+  }
+}
+
+/// Every fanout-point gate is billed once, at its own root: the DP's
+/// costs of the root gates (fanout > 1, or driving an output) add up to
+/// the realized netlist's weighted cost.  The check needs the DP's
+/// discharge counts to agree with the realized ones.
+TEST(Mapper, RootGateCostsSumToPredictedCost) {
+  struct Config {
+    const char* tag;
+    MapperOptions options;
+  };
+  std::vector<Config> configs(4);
+  configs[0].tag = "k=1";
+  configs[1].tag = "k=2";
+  configs[1].options.clock_weight = 2.0;
+  configs[2].tag = "complex";
+  configs[2].options.enable_complex_gates = true;
+  configs[3].tag = "depth";
+  configs[3].options.objective = CostObjective::kDepth;
+  for (const Config& config : configs) {
+    ASSERT_EQ(config.options.engine, MappingEngine::kSoiDominoMap);
+    int checked = 0;
+    for (const std::string& name : benchmark_names()) {
+      const UnateResult unate = make_unate(build_benchmark(name));
+      const TupleOracle oracle(unate, config.options);
+      const MappingResult mapped = oracle.map();
+      if (mapped.dp_analyzer_mismatches != 0) continue;
+      const std::vector<std::uint32_t> fanout = unate.net.fanout_counts();
+      std::vector<char> drives_output(unate.net.size(), 0);
+      for (const Output& o : unate.net.outputs()) {
+        drives_output[o.driver.value] = 1;
+      }
+      std::int64_t roots = 0;
+      for (std::uint32_t i = 2; i < unate.net.size(); ++i) {
+        const NodeKind kind = unate.net.kind(NodeId{i});
+        if (kind != NodeKind::kAnd && kind != NodeKind::kOr) continue;
+        if (fanout[i] > 1 || drives_output[i] != 0) {
+          roots += oracle.gate_cost_of(NodeId{i});
+        }
+      }
+      EXPECT_EQ(roots, mapped.predicted_cost) << name << " " << config.tag;
+      ++checked;
+    }
+    EXPECT_EQ(checked, static_cast<int>(benchmark_names().size()))
+        << config.tag;
   }
 }
 

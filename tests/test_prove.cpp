@@ -380,18 +380,57 @@ TEST(ProveOracle, FuzzCorpusZeroFalseConfirms) {
 // ---------------------------------------------------------------------------
 // Determinism.
 
+/// The refinement does not depend on the proof tier's thread count: the
+/// proof JSON and the refined lint, csa and race SARIF are byte-identical
+/// at 1, 2 and 4 threads.  The five circuits carry every verdict kind;
+/// their verdict counts and the absence of budget hits are pinned too.
 TEST(ProveDeterminism, ReportByteIdenticalAcrossThreads) {
-  for (const char* name : {"b9", "mux"}) {
-    FlowOptions one = prove_flow();
-    one.prove_options.num_threads = 1;
-    FlowOptions many = prove_flow();
-    many.prove_options.num_threads = 4;
-    const FlowOutcome a = run_flow_guarded(build_benchmark(name), one);
-    const FlowOutcome b = run_flow_guarded(build_benchmark(name), many);
-    ASSERT_TRUE(a.result.has_value() && b.result.has_value()) << name;
-    ASSERT_TRUE(a.result->prove.has_value() && b.result->prove.has_value());
-    EXPECT_EQ(a.result->prove->to_json(), b.result->prove->to_json()) << name;
+  struct Expected {
+    const char* name;
+    int confirmed;
+    int refuted;
+    int unknown;
+  };
+  const Expected circuits[] = {{"b9", 30, 2, 0},
+                               {"c8", 28, 1, 3},
+                               {"x1", 63, 8, 6},
+                               {"count", 28, 0, 2},
+                               {"mux", 8, 0, 0}};
+  int targets = 0;
+  int confirmed = 0;
+  int refuted = 0;
+  for (const Expected& e : circuits) {
+    SCOPED_TRACE(e.name);
+    std::string reference;
+    for (const int threads : {1, 2, 4}) {
+      FlowOptions options = prove_flow(0.05);
+      options.prove_options.num_threads = threads;
+      const FlowOutcome outcome =
+          run_flow_guarded(build_benchmark(e.name), options);
+      ASSERT_TRUE(outcome.result.has_value());
+      const FlowResult& r = *outcome.result;
+      ASSERT_TRUE(r.prove.has_value() && r.csa.has_value() &&
+                  r.race.has_value());
+      EXPECT_EQ(r.prove->budget_hits, 0);
+      const std::string bytes =
+          r.prove->to_json() + r.lint.to_sarif(e.name) +
+          r.csa->lint.to_sarif(e.name) + r.race->lint.to_sarif(e.name);
+      if (threads > 1) {
+        EXPECT_EQ(bytes, reference) << threads << " threads";
+        continue;
+      }
+      reference = bytes;
+      EXPECT_EQ(r.prove->confirmed, e.confirmed);
+      EXPECT_EQ(r.prove->refuted, e.refuted);
+      EXPECT_EQ(r.prove->unknown, e.unknown);
+      targets += r.prove->targets();
+      confirmed += r.prove->confirmed;
+      refuted += r.prove->refuted;
+    }
   }
+  EXPECT_EQ(targets, 179);
+  EXPECT_EQ(confirmed, 157);
+  EXPECT_EQ(refuted, 11);
 }
 
 // ---------------------------------------------------------------------------

@@ -280,8 +280,7 @@ TEST(FlowCache, WarmAndColdRunsAreByteIdentical) {
 /// Cold (no cache), warm (in-memory hit) and restarted (a fresh cache
 /// warmed from the spill journal) flows give byte-identical netlists, on
 /// paper circuits from small to large plus one scale circuit where the DP
-/// dominates.  xl_mult64's DP costs overflow int64 (ROADMAP item 6), so a
-/// -fsanitize=undefined build stops on it, as on Mapper.NetlistsArePinned.
+/// dominates.
 TEST(FlowCache, ColdWarmAndSpillRestartedNetlistsAreIdentical) {
   FlowOptions options;
   options.verify_rounds = 0;
