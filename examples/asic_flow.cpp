@@ -19,11 +19,13 @@
 ///   --race-sarif=FILE write the race findings as SARIF 2.1.0 (and run race)
 ///   --batch[=a,b,c]   run the asic flow over the named benchmark
 ///                     circuits (bare --batch: every paper-table circuit)
-///                     with watchdog + retry ladder + run journal
-///                     (src/batch; see docs/BATCH.md)
+///                     with per-attempt deadline + retry ladder + run
+///                     journal (src/batch; see docs/BATCH.md)
 ///
 /// It takes the batch-run group of soidom/batch/flags.hpp, which nests the
-/// job and flow groups; the batch-run and job flags act only with --batch.
+/// job and flow groups.  The batch-run and job flags need --batch: without
+/// it the first of them is an error ("--timeout-ms needs --batch", exit
+/// 64) rather than silently ignored.
 /// Its defaults: --flow=soi --seq-aware --exact, --journal=asic_flow.jsonl,
 /// --manifest=asic_flow.manifest.json.  --prove prints each proof record:
 /// confirmed (witness), refuted (downgraded to info, with a certificate)
@@ -165,10 +167,15 @@ int main(int argc, char** argv) {
   std::string csa_sarif_path;
   std::string race_sarif_path;
   std::string path;
+  std::string batch_flag;  // the first job or batch-run flag given
   try {
     for (int i = 1; i < argc; ++i) {
       const Flag flag(argv[i]);
-      if (parse_batch_run_flag(flag, batch)) continue;
+      if (parse_flow_flag(flag, options)) continue;
+      if (parse_batch_run_flag(flag, batch)) {
+        if (batch_flag.empty()) batch_flag = flag.name();
+        continue;
+      }
       if (flag.is("--diag-json")) {
         diag_json = true;
       } else if (flag.is("--lint")) {
@@ -197,6 +204,10 @@ int main(int argc, char** argv) {
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
+  }
+  if (!batch_mode && !batch_flag.empty()) {
+    std::fprintf(stderr, "error: %s needs --batch\n", batch_flag.c_str());
     return 64;
   }
 

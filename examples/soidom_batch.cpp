@@ -1,6 +1,7 @@
-/// Crash-safe batch front end: map a fleet of circuits with per-job
-/// watchdogs, a retry/degradation ladder, optional subprocess isolation,
-/// and a resumable run journal.  This is the outer loop the paper's
+/// Crash-safe batch front end: map a fleet of circuits with per-attempt
+/// deadlines, a retry/degradation ladder, optional subprocess isolation,
+/// and a resumable run journal.  Each job runs on one thread, --jobs of
+/// them at a time.  This is the outer loop the paper's
 /// Table 1/2 sweeps (and any large mapping campaign) need: one hanging
 /// or crashing circuit no longer loses the run.
 ///

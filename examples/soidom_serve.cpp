@@ -86,9 +86,9 @@ int run_serve(int argc, char** argv) {
       } else if (flag.is("--no-durable")) {
         options.cache.durable = false;
       } else if (flag.has("--max-connections")) {
-        options.max_connections = flag.integer();
+        options.max_connections = flag.integer(1);
       } else if (flag.has("--max-in-flight")) {
-        options.max_in_flight = flag.integer();
+        options.max_in_flight = flag.integer(1);
       } else if (flag.has("--report")) {
         report_path = flag.value();
       } else {

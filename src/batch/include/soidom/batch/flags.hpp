@@ -38,7 +38,7 @@
 /// Job flags fill BatchOptions; any other entry goes on to the flow
 /// flags, applied to BatchOptions::flow (soidom_serve serve;
 /// kJobFlagsUsage):
-///   --timeout-ms=N           per-attempt watchdog (0 = none)
+///   --timeout-ms=N           per-attempt deadline (0 = none)
 ///   --attempts=N             retry budget per job
 ///   --backoff-ms=N           base retry backoff, jittered
 ///   --inject=N/D@SEED        seeded per-(job,attempt) fault injection

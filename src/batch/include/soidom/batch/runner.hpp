@@ -2,13 +2,16 @@
 /// Resilient multi-circuit batch runner over the guarded flow.
 ///
 /// Every front end so far maps one circuit in-process; a single hang,
-/// BDD blow-up, or crash loses the whole run.  run_batch schedules many
-/// run_flow_guarded jobs over a base/parallel.hpp ThreadPool and makes
-/// the campaign survive the misbehavior of any one of them:
+/// BDD blow-up, or crash loses the whole run.  run_batch runs many
+/// run_flow_guarded jobs, each on one thread, up to max_parallel at a
+/// time (base/parallel.hpp parallel_for; at max_parallel = 1 every job
+/// runs on the caller and no thread starts), and makes the campaign
+/// survive the misbehavior of any one of them:
 ///
-///  * watchdog  — a dedicated thread cancels (via CancelToken) any job
-///    that exceeds its wall-clock budget, and propagates SIGINT/SIGTERM
-///    to every in-flight job;
+///  * deadline  — each attempt's guard carries its wall-clock budget
+///    and stops the flow at a checkpoint once it passes; every attempt
+///    also observes the process-wide token that SIGINT/SIGTERM trip
+///    (signals.hpp);
 ///  * retries   — failed attempts back off exponentially with seeded,
 ///    deterministic jitter and walk an explicit degradation ladder
 ///    (drop exact BDD equivalence -> shrink verify rounds -> shrink the
@@ -94,7 +97,7 @@ struct BatchOptions {
   /// the runner; only `budget` is taken from here).
   ResourceBudget budget;
   int max_parallel = 1;        ///< jobs in flight; 0 = hardware threads
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog; 0 = none
+  std::int64_t job_timeout_ms = 0;  ///< per-attempt deadline; 0 = none
   RetryPolicy retry;
   bool isolate = false;        ///< fork each attempt into a subprocess
   std::string journal_path;    ///< empty: no journal, no resume

@@ -1,6 +1,6 @@
 /// \file internal.hpp
-/// Batch-runner internals shared between runner.cpp (scheduling, ladder,
-/// watchdog) and isolate.cpp (subprocess execution).  Not installed.
+/// Batch-runner internals shared between runner.cpp (scheduling, ladder)
+/// and isolate.cpp (subprocess execution).  Not installed.
 #pragma once
 
 #include <optional>
@@ -37,16 +37,16 @@ AttemptOutcome execute_attempt_inprocess(const BatchJob& job,
 
 /// Fork and run the attempt in a child process.  The parent enforces
 /// `timeout_ms` (SIGKILL on expiry) and converts a crashed / killed /
-/// unreadable child into a quarantine-class AttemptOutcome.  `cancel`
-/// is polled so a signal to the parent tears the child down promptly.
-/// Never throws (a failed fork is an AttemptOutcome, not an exception).
+/// unreadable child into a quarantine-class AttemptOutcome.  It polls
+/// `gopts.cancel`, so a signal to the parent tears the child down
+/// promptly.  Never throws (a failed fork is an AttemptOutcome, not an
+/// exception).
 AttemptOutcome execute_attempt_isolated(const BatchJob& job,
                                         const FlowOptions& effective,
                                         const GuardOptions& gopts,
                                         const BatchFaultPlan& fault,
                                         int attempt, const BatchHooks& hooks,
-                                        std::int64_t timeout_ms,
-                                        const CancelToken& cancel);
+                                        std::int64_t timeout_ms);
 
 /// Wire format used on the child->parent pipe (one line, json_escape'd
 /// fields, tab separated).  Exposed for tests.

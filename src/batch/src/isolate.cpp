@@ -4,14 +4,18 @@
 /// writes one encoded result line to a pipe, and _exit(0)s.  The parent
 /// polls the pipe under the attempt's wall-clock budget and translates
 /// every way a child can misbehave — crash on a signal, nonzero exit,
-/// garbage on the pipe, overrunning the watchdog — into a
+/// garbage on the pipe, overrunning its time budget — into a
 /// quarantine-class AttemptOutcome.  A runaway or segfaulting job is
 /// thereby contained: the batch process itself never executes the
 /// job's code in isolate mode.
 ///
-/// Note on fork() from a pool worker: glibc re-arms its allocator locks
-/// via pthread_atfork, and the child only runs soidom code plus _exit,
-/// so the usual fork-in-threads hazards do not bite here.
+/// Note on fork() and threads: the child inherits only the forking
+/// thread, so any lock another thread held at the fork stays held in the
+/// child.  glibc re-arms its own allocator locks via pthread_atfork, but
+/// that does not cover a sanitizer's allocator.  With one job at a time
+/// (--jobs=1) run_batch starts no thread, so the fork happens in a
+/// single-threaded process; with --jobs>1 it happens beside the other
+/// jobs' workers.
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -132,8 +136,7 @@ AttemptOutcome execute_attempt_isolated(const BatchJob& job,
                                         const GuardOptions& gopts,
                                         const BatchFaultPlan& fault,
                                         int attempt, const BatchHooks& hooks,
-                                        std::int64_t timeout_ms,
-                                        const CancelToken& cancel) {
+                                        std::int64_t timeout_ms) {
   int fds[2];
   if (::pipe(fds) != 0) {
     return quarantine_outcome(
@@ -168,7 +171,7 @@ AttemptOutcome execute_attempt_isolated(const BatchJob& job,
   bool timed_out = false;
   bool cancelled = false;
   for (;;) {
-    if (cancel.cancelled()) {
+    if (gopts.cancel.cancelled()) {
       cancelled = true;
       ::kill(pid, SIGTERM);
       break;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -51,70 +50,6 @@ bool retryable(ErrorCode code) {
   return code != ErrorCode::kParseError && code != ErrorCode::kInvalidOptions;
 }
 
-/// One background thread that (a) cancels any armed attempt whose
-/// wall-clock deadline passed and (b) propagates a received SIGINT /
-/// SIGTERM to every in-flight attempt's CancelToken.  Runs on a 20 ms
-/// tick — coarse, but watchdog budgets are tens of milliseconds at the
-/// finest.
-class Watchdog {
- public:
-  Watchdog() : thread_([this] { loop(); }) {}
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  int arm(std::optional<SteadyClock::time_point> deadline, CancelToken token) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const int id = next_id_++;
-    entries_.emplace(id, Entry{deadline, std::move(token), false});
-    return id;
-  }
-
-  /// True when the wall-clock deadline (not a signal) fired this entry.
-  bool fired_and_disarm(int id) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(id);
-    const bool fired = it != entries_.end() && it->second.fired;
-    if (it != entries_.end()) entries_.erase(it);
-    return fired;
-  }
-
- private:
-  struct Entry {
-    std::optional<SteadyClock::time_point> deadline;
-    CancelToken token;
-    bool fired;
-  };
-
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      const auto now = SteadyClock::now();
-      const bool signalled = signal_received() != 0;
-      for (auto& [id, entry] : entries_) {
-        if (signalled) entry.token.request_cancel();
-        if (!entry.fired && entry.deadline && now >= *entry.deadline) {
-          entry.fired = true;
-          entry.token.request_cancel();
-        }
-      }
-      cv_.wait_for(lock, std::chrono::milliseconds(20));
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<int, Entry> entries_;
-  int next_id_ = 0;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 /// Deterministically jittered exponential backoff, interruptible by a
 /// signal (10 ms slices).
 void backoff_sleep(const std::string& job, int attempt,
@@ -131,49 +66,49 @@ void backoff_sleep(const std::string& job, int attempt,
   }
 }
 
+/// A journal or manifest write failure, attributed to kBatchJournal
+/// unless the failure carries its own attribution (an injected fault).
+Diagnostic io_failure(const Error& e) {
+  if (const auto* guard = dynamic_cast<const GuardError*>(&e)) {
+    return guard->to_diagnostic();
+  }
+  return Diagnostic{ErrorCode::kInternal, FlowStage::kBatchJournal, e.what(),
+                    {}};
+}
+
 /// Serialized, abort-on-failure journal access shared by the workers.
-class SharedJournal {
- public:
-  SharedJournal(std::optional<RunJournal>& journal, std::atomic<bool>& abort,
-                Diagnostic& abort_diag, std::mutex& mu)
-      : journal_(journal), abort_(abort), abort_diag_(abort_diag), mu_(mu) {}
+struct SharedJournal {
+  std::optional<RunJournal> journal;  ///< empty: no journal
+  std::atomic<bool> abort{false};
+  Diagnostic abort_diag;  ///< the write failure, once `abort` is set
+  std::mutex mu;
 
   /// Run `fn(journal)` under the lock; on a write failure records the
   /// abort diagnostic once and returns false ever after.
   template <typename Fn>
   bool append(Fn&& fn) {
-    if (!journal_.has_value()) return true;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (abort_.load(std::memory_order_relaxed)) return false;
+    if (!journal.has_value()) return true;
+    std::lock_guard<std::mutex> lock(mu);
+    if (abort.load(std::memory_order_relaxed)) return false;
     try {
-      fn(*journal_);
+      fn(*journal);
       return true;
-    } catch (const GuardError& e) {
-      abort_diag_ = e.to_diagnostic();
     } catch (const Error& e) {
-      abort_diag_ = Diagnostic{ErrorCode::kInternal, FlowStage::kBatchJournal,
-                               e.what(),
-                               {}};
+      abort_diag = io_failure(e);
     }
-    abort_.store(true, std::memory_order_relaxed);
+    abort.store(true, std::memory_order_relaxed);
     return false;
   }
 
-  bool aborted() const { return abort_.load(std::memory_order_relaxed); }
-
- private:
-  std::optional<RunJournal>& journal_;
-  std::atomic<bool>& abort_;
-  Diagnostic& abort_diag_;
-  std::mutex& mu_;
+  bool aborted() const { return abort.load(std::memory_order_relaxed); }
 };
 
 /// Drive one job through the retry/degradation ladder to a terminal
 /// state (or bail without one on signal / journal abort, leaving the
 /// job for --resume).
 void run_one_job(const BatchJob& job, const BatchOptions& options,
-                 const BatchHooks& hooks, Watchdog& watchdog,
-                 SharedJournal& journal, JobOutcome& out) {
+                 const BatchHooks& hooks, SharedJournal& journal,
+                 JobOutcome& out) {
   const auto job_start = SteadyClock::now();
   JobRecord& rec = out.record;
 
@@ -189,34 +124,24 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
     const auto attempt_start = SteadyClock::now();
 
     AttemptOutcome ao;
-    bool watchdog_fired = false;
     try {
       SOIDOM_FAULT_PROBE(FlowStage::kBatchWatchdog);
 
+      // The guard enforces the deadline at its checkpoints, and the
+      // SIGINT/SIGTERM handler trips the process-wide token itself.
       GuardOptions gopts;
       gopts.budget = options.budget;
-      CancelToken token;
-      gopts.cancel = token;
-      std::optional<SteadyClock::time_point> deadline;
+      gopts.cancel = signal_cancel_token();
       if (options.job_timeout_ms > 0) {
-        deadline = attempt_start +
-                   std::chrono::milliseconds(options.job_timeout_ms);
         gopts.deadline = Deadline::after_ms(options.job_timeout_ms);
       }
       if (options.isolate) {
         SOIDOM_FAULT_PROBE(FlowStage::kBatchSpawn);
-        // The parent enforces the timeout itself (SIGKILL); the armed
-        // entry only propagates signals to the in-flight child.
-        const int id = watchdog.arm(std::nullopt, token);
         ao = execute_attempt_isolated(job, effective, gopts, options.fault,
-                                      attempt, hooks, options.job_timeout_ms,
-                                      token);
-        (void)watchdog.fired_and_disarm(id);
+                                      attempt, hooks, options.job_timeout_ms);
       } else {
-        const int id = watchdog.arm(deadline, token);
         ao = execute_attempt_inprocess(job, effective, gopts, options.fault,
                                        attempt, hooks);
-        watchdog_fired = watchdog.fired_and_disarm(id);
       }
     } catch (const GuardError& e) {
       // An injected kBatchWatchdog / kBatchSpawn probe: a synthetic
@@ -231,11 +156,6 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
     ar.ok = ao.ok;
     ar.diagnostic = ao.diagnostic;
     ar.ms = elapsed_ms(attempt_start);
-    if (watchdog_fired && ar.diagnostic.has_value()) {
-      ar.diagnostic->context.push_back(
-          format("watchdog cancelled after %lld ms",
-                 static_cast<long long>(options.job_timeout_ms)));
-    }
     const bool journal_ok =
         journal.append([&](RunJournal& j) { j.append_attempt(job.name, ar); });
     out.attempts.push_back(ar);
@@ -260,8 +180,7 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
       return;
     }
 
-    // A signal produces the same kCancelled shape as the watchdog; an
-    // interrupted job must NOT reach a terminal record, so it reruns
+    // An interrupted job must NOT reach a terminal record, so it reruns
     // on --resume.
     if (signal_received() != 0) return;
 
@@ -382,46 +301,33 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
     result.resume_warnings = std::move(loaded.warnings);
   }
 
-  std::optional<RunJournal> journal;
-  std::atomic<bool> abort{false};
-  Diagnostic abort_diag;
-  std::mutex journal_mu;
+  SharedJournal shared;
   if (!options.journal_path.empty()) {
     try {
-      journal.emplace(options.journal_path, options.journal_durable);
-      journal->append_header(jobs.size(), options.isolate,
-                             options.retry.max_attempts);
-    } catch (const GuardError& e) {
-      result.aborted = e.to_diagnostic();
-      return result;
+      shared.journal.emplace(options.journal_path, options.journal_durable);
+      shared.journal->append_header(jobs.size(), options.isolate,
+                                    options.retry.max_attempts);
     } catch (const Error& e) {
-      result.aborted = Diagnostic{ErrorCode::kInternal,
-                                  FlowStage::kBatchJournal, e.what(),
-                                  {}};
+      result.aborted = io_failure(e);
       return result;
     }
   }
-  SharedJournal shared(journal, abort, abort_diag, journal_mu);
 
-  {
-    Watchdog watchdog;
-    ThreadPool pool(options.max_parallel == 0
-                        ? 0u
-                        : static_cast<unsigned>(options.max_parallel));
-    pool.run(jobs.size(), [&](std::size_t i, unsigned) {
-      JobOutcome& out = result.jobs[i];
-      const auto it = prior.find(jobs[i].name);
-      if (it != prior.end()) {
-        out.record = it->second;
-        out.resumed = true;
-        out.terminal = true;
-        return;
-      }
-      if (shared.aborted() || signal_received() != 0) return;
-      run_one_job(jobs[i], options, hooks, watchdog, shared, out);
-      if (out.terminal && hooks.on_job_done) hooks.on_job_done(out);
-    });
-  }
+  const auto run_job = [&](std::size_t i, unsigned) {
+    JobOutcome& out = result.jobs[i];
+    const auto it = prior.find(jobs[i].name);
+    if (it != prior.end()) {
+      out.record = it->second;
+      out.resumed = true;
+      out.terminal = true;
+      return;
+    }
+    if (shared.aborted() || signal_received() != 0) return;
+    run_one_job(jobs[i], options, hooks, shared, out);
+    if (out.terminal && hooks.on_job_done) hooks.on_job_done(out);
+  };
+  parallel_for(jobs.size(), static_cast<unsigned>(options.max_parallel),
+               run_job);
 
   for (const JobOutcome& out : result.jobs) {
     if (out.resumed) ++result.resumed;
@@ -433,8 +339,8 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
     }
   }
 
-  if (abort.load()) {
-    result.aborted = abort_diag;
+  if (shared.aborted()) {
+    result.aborted = shared.abort_diag;
     return result;
   }
   result.interrupted_by_signal = signal_received();
@@ -447,12 +353,8 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
     }
     try {
       write_manifest(merged, options.manifest_path);
-    } catch (const GuardError& e) {
-      result.aborted = e.to_diagnostic();
     } catch (const Error& e) {
-      result.aborted = Diagnostic{ErrorCode::kInternal,
-                                  FlowStage::kBatchJournal, e.what(),
-                                  {}};
+      result.aborted = io_failure(e);
     }
   }
   return result;

@@ -408,20 +408,12 @@ void validate(const FlowOptions& options) {
                    format("FlowOptions.csa_options.keeper_strength = %d is "
                           "invalid (need keeper_strength >= 1)",
                           options.csa_options.keeper_strength));
-    SOIDOM_REQUIRE(options.csa_options.num_threads >= 0,
-                   format("FlowOptions.csa_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.csa_options.num_threads));
   }
   if (options.prove) {
     SOIDOM_REQUIRE(options.prove_options.node_budget >= 2,
                    format("FlowOptions.prove_options.node_budget = %u is "
                           "invalid (need node_budget >= 2)",
                           options.prove_options.node_budget));
-    SOIDOM_REQUIRE(options.prove_options.num_threads >= 0,
-                   format("FlowOptions.prove_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.prove_options.num_threads));
   }
   if (options.race) {
     SOIDOM_REQUIRE(options.race_options.num_phases >= 1,
@@ -440,10 +432,6 @@ void validate(const FlowOptions& options) {
                           "are invalid (need >= 0)",
                           options.race_options.skew,
                           options.race_options.margin));
-    SOIDOM_REQUIRE(options.race_options.num_threads >= 0,
-                   format("FlowOptions.race_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.race_options.num_threads));
   }
 }
 

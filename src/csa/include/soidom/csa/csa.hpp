@@ -112,9 +112,6 @@ struct CsaOptions {
   /// State-enumeration ceiling per pulldown; gates needing more states
   /// fall back to the (coarser, still conservative) pointwise-max bound.
   long max_states = 4096;
-  /// Worker threads for the per-gate fan-out; 0 = auto, 1 = sequential.
-  /// Results are byte-identical across thread counts.
-  int num_threads = 1;
   /// Derive device widths with sizing/sizing.hpp (default); otherwise
   /// every device gets unit width.
   bool use_sizing = true;
@@ -243,10 +240,10 @@ struct CsaResult {
 /// call using it (run_csa handles this internally; exposed for tests).
 LintRegistry csa_registry(const CsaReport& report, const CsaOptions& options);
 
-/// Run the analyzer over a structurally valid netlist.  Thread-compatible
-/// (concurrent calls on distinct netlists are safe); checkpoints the
-/// installed guard under FlowStage::kCsa.  Deterministic: reports and
-/// findings are byte-identical for any num_threads.
+/// Run the analyzer over a structurally valid netlist, one gate after
+/// another on the calling thread.  Thread-compatible (concurrent calls on
+/// distinct netlists are safe); checkpoints the installed guard under
+/// FlowStage::kCsa once per gate.
 CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options = {});
 
 }  // namespace soidom

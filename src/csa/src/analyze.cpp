@@ -25,10 +25,8 @@
 /// The truncation fallback takes S over ALL junctions and F over ALL
 /// candidate-eligible devices, which dominates every state.
 #include <bit>
-#include <optional>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/csa/csa.hpp"
 #include "soidom/guard/fault.hpp"
@@ -371,8 +369,6 @@ std::string CsaReport::to_json() const {
 CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
   SOIDOM_REQUIRE(options.max_states >= 1,
                  "run_csa: max_states must be at least 1");
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_csa: num_threads must be non-negative");
   StageScope stage_scope(FlowStage::kCsa);
   SOIDOM_FAULT_PROBE(FlowStage::kCsa);
   guard_checkpoint();
@@ -382,12 +378,7 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
 
   const std::size_t num_gates = netlist.gates().size();
   std::vector<CsaGateReport> slots(num_gates);
-  GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(num_gates, [&](std::size_t g, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
-    std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+  for (std::size_t g = 0; g < num_gates; ++g) {
     guard_checkpoint();
     const DominoGate& spec = netlist.gates()[g];
     CsaGateReport& rep = slots[g];
@@ -417,7 +408,7 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
           bound_one(spec.pdn2, spec.discharges2, spec.footed2,
                     static_cast<std::size_t>(spec.pdn.transistor_count()));
     }
-  });
+  }
 
   CsaResult result;
   result.report.gates = std::move(slots);

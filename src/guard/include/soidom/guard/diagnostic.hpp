@@ -40,7 +40,7 @@ enum class FlowStage : std::uint8_t {
   // orchestration layer, not of any one circuit's flow.
   kBatchJournal,     ///< run-journal append / manifest write
   kBatchSpawn,       ///< forking an isolated job subprocess
-  kBatchWatchdog,    ///< per-job wall-clock watchdog firing
+  kBatchWatchdog,    ///< attempt set-up; isolated child past its deadline
   // Mapping-service stages (serve/server.hpp): the socket front end and
   // the persistent cone cache.  Probes here let tests prove a cache or
   // transport failure degrades to recompute / structured error, never to

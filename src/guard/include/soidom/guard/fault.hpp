@@ -28,11 +28,11 @@ namespace soidom {
 /// base/rng.hpp: a given configuration fails identically on every run).
 ///
 /// Hit counting is atomic and the randomized stream is mutex-guarded, so
-/// one injector may be installed on several threads at once.  The
-/// analyzers' pools (csa, race, prove) re-install only the flow's guard on
-/// their workers, not the injector: their probes fire at stage entry, on
-/// the calling thread.  Copying (factory returns, test fixtures) is not
-/// synchronized against concurrent probes.
+/// one injector may be installed on several threads at once (say, batch
+/// jobs running side by side).  A flow runs on one thread, so every probe
+/// of a flow fires on the thread that installed the injector.  Copying
+/// (factory returns, test fixtures) is not synchronized against
+/// concurrent probes.
 class FaultInjector {
  public:
   /// Fail the `hit`-th time (1-based) the probe of `stage` is reached.

@@ -11,12 +11,13 @@
 /// installs a GuardContext for the duration of the flow; a tripped guard
 /// throws GuardError, which the facade converts into a Diagnostic.
 ///
-/// A GuardContext must not be shared by concurrently running *flows*, but
-/// checkpoint()/charge() are thread-safe (relaxed atomics), so one flow
-/// may fan its hot loop out over worker threads — the csa, race and prove
-/// analyzers install the owning flow's guard on each pool worker via
-/// GuardScope and the budget/deadline still hold across all of them.  A
-/// CancelToken may be triggered from any thread.
+/// A GuardContext must not be shared by concurrently running *flows*.  A
+/// flow runs on one thread (no stage installs the guard on a worker), but
+/// checkpoint()/charge() are thread-safe (relaxed atomics) all the same,
+/// so a stage that fans its hot loop out could install the owning flow's
+/// guard on each worker via GuardScope and the budget/deadline would
+/// hold across all of them.  A CancelToken may be triggered from any
+/// thread: a signal handler, or another thread draining a server.
 #pragma once
 
 #include <atomic>

@@ -34,8 +34,8 @@
 ///
 /// Layering: prove sits above csa/race/lint/bdd/domino and below
 /// core/flow (run_flow drives it as FlowStage::kProve when
-/// FlowOptions::prove is set).  Deterministic: reports and refined
-/// findings are byte-identical for any num_threads.
+/// FlowOptions::prove is set).  Targets are proved one after another on
+/// the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,6 @@ struct ProveOptions {
   bool refine_csa = true;   ///< csa.pbe-discharge, csa.droop-margin
   bool refine_race = true;  ///< race.inversion-parity, race.static-mix
   bool refine_lint = true;  ///< pbe-protection (unprotected points)
-  /// Worker threads for the per-finding fan-out; 0 = auto, 1 =
-  /// sequential.  Results are byte-identical across thread counts.
-  int num_threads = 1;
   /// Strict mode: any budget hit throws GuardError(kProofTimeout) after
   /// the run completes (all other targets still get their verdicts).
   /// Default off: budget hits only yield kUnknown records.
@@ -130,8 +127,8 @@ struct ProveReport {
 /// PBE re-derivation knobs (grounding, pending model) and must match the
 /// lint run that produced `lint`; `csa_options` likewise for `csa`.
 ///
-/// Checkpoints the installed guard under FlowStage::kProve.
-/// Deterministic: byte-identical reports for any num_threads.
+/// Checkpoints the installed guard under FlowStage::kProve once per
+/// target.
 ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
                       CsaResult* csa, RaceResult* race,
                       const LintOptions& lint_options,

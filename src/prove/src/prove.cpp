@@ -44,7 +44,6 @@
 #include <utility>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/domino/exact.hpp"
 #include "soidom/domino/postpass.hpp"
@@ -876,8 +875,6 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
                       const ProveOptions& options) {
   SOIDOM_REQUIRE(options.node_budget >= 2,
                  "run_prove: node_budget must be at least 2");
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_prove: num_threads must be non-negative");
   StageScope stage_scope(FlowStage::kProve);
   SOIDOM_FAULT_PROBE(FlowStage::kProve);
   guard_checkpoint();
@@ -923,12 +920,7 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
     bool budget_hit = false;
   };
   std::vector<Slot> slots(targets.size());
-  GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(targets.size(), [&](std::size_t i, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
-    std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     guard_checkpoint();
     const Target& t = targets[i];
     Slot& slot = slots[i];
@@ -949,8 +941,7 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
       }
     } catch (const GuardError& e) {
       // Only a cone blow-up is an in-band unknown; cancellation, deadline,
-      // and resource-budget trips keep propagating (the pool rethrows the
-      // lowest-index failure after the batch drains).
+      // and resource-budget trips keep propagating.
       if (e.code() != ErrorCode::kBddNodeLimit) throw;
       slot.record = make_record(
           t.rule, t.location, ProofStatus::kUnknown,
@@ -959,10 +950,10 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
                  options.node_budget, e.what()));
       slot.budget_hit = true;
     }
-  });
+  }
 
-  // Deterministic application: target order is (lint, csa, race) x
-  // finding order, independent of the worker schedule.
+  // Apply the verdicts in target order: (lint, csa, race) x finding
+  // order.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const Target& t = targets[i];
     Slot& slot = slots[i];

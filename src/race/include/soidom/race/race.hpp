@@ -74,9 +74,6 @@ struct RaceOptions {
   /// Required residual slack: a gate whose surviving margin is below
   /// this (but non-negative) raises `race.skew-margin`.  0 disables.
   double margin = 0.0;
-  /// Worker threads for the per-gate fan-out; 0 = auto, 1 = sequential.
-  /// Results are byte-identical across thread counts.
-  int num_threads = 1;
   /// Lint waivers applied to race.* findings ("rule" or "rule@substring").
   std::vector<std::string> waivers;
 };
@@ -170,10 +167,10 @@ struct RaceResult {
 LintRegistry race_registry(const RaceReport& report,
                            const RaceOptions& options);
 
-/// Run the analyzer over a structurally valid netlist.  Thread-compatible
-/// (concurrent calls on distinct netlists are safe); checkpoints the
-/// installed guard under FlowStage::kRace.  Deterministic: reports and
-/// findings are byte-identical for any num_threads.
+/// Run the analyzer over a structurally valid netlist, one gate after
+/// another on the calling thread.  Thread-compatible (concurrent calls on
+/// distinct netlists are safe); checkpoints the installed guard under
+/// FlowStage::kRace once per gate.
 RaceResult run_race(const DominoNetlist& netlist,
                     const RaceOptions& options = {});
 

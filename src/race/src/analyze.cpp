@@ -17,11 +17,9 @@
 ///    literal is possibly-high in the static precharge-conduction
 ///    dataflow, so the path exists statically too (race.static-mix).
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/guard/fault.hpp"
 #include "soidom/guard/guard.hpp"
@@ -165,8 +163,6 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
                  "run_race: clock windows must be non-negative");
   SOIDOM_REQUIRE(options.skew >= 0.0 && options.margin >= 0.0,
                  "run_race: skew and margin must be non-negative");
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_race: num_threads must be non-negative");
   StageScope stage_scope(FlowStage::kRace);
   SOIDOM_FAULT_PROBE(FlowStage::kRace);
   guard_checkpoint();
@@ -188,8 +184,8 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
     }
   }
 
-  // Stale-high pass (serial: the precharge-conduction dataflow below
-  // reads every fanin's flag, and gate order is topological).
+  // Stale-high pass first: the precharge-conduction dataflow below
+  // reads every fanin's flag.
   std::vector<char> stale(num_gates, 0);
   if (options.t_pre > 0.0) {
     for (std::size_t g = 0; g < num_gates; ++g) {
@@ -206,12 +202,7 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
   };
 
   std::vector<RaceGateReport> slots(num_gates);
-  GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(num_gates, [&](std::size_t g, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
-    std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+  for (std::size_t g = 0; g < num_gates; ++g) {
     guard_checkpoint();
     const DominoGate& spec = netlist.gates()[g];
     const GateTiming& t = timing.gates[g];
@@ -260,7 +251,7 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
         rep.max_fanin_gap = std::max(rep.max_fanin_gap, gap);
       }
     }
-  });
+  }
 
   RaceResult result;
   result.report.gates = std::move(slots);

@@ -37,7 +37,7 @@ struct ServeRequest {
   std::string id;         ///< echoed verbatim in the response
   std::string circuit;    ///< benchmark-registry name...
   std::string blif_path;  ///< ...or a BLIF file path (exactly one)
-  std::int64_t deadline_ms = 0;  ///< per-request watchdog; 0 = server default
+  std::int64_t deadline_ms = 0;  ///< per-request deadline; 0 = server default
 };
 
 /// Parse one request line.  On failure returns false and sets *error to

@@ -3,10 +3,10 @@
 /// (docs/SERVE.md).
 ///
 /// MappingServer accepts NDJSON requests (protocol.hpp), runs each map
-/// request through the batch runner's guarded single-job machinery
-/// (watchdog deadline, retry/degradation ladder, structured failure
-/// classification — byte-identical outcomes to an offline soidom_batch
-/// run), and answers every request with exactly one structured response:
+/// request through the batch runner's guarded single-job machinery on
+/// the connection's handler thread (per-attempt deadline,
+/// retry/degradation ladder, structured failure classification —
+/// byte-identical outcomes to an offline soidom_batch run), and answers every request with exactly one structured response:
 /// a result, or an error that says why not.  Overload never queues
 /// unboundedly: past max_connections / max_in_flight the server answers
 /// an explicit "busy" backpressure error immediately.  Repeated map
@@ -15,7 +15,7 @@
 ///
 /// Shutdown is graceful drain: on SIGINT/SIGTERM (or request_stop) the
 /// listener closes, in-flight jobs are cancelled at their guard
-/// checkpoints via the batch watchdog's signal propagation, every
+/// checkpoints through the process-wide signal token, every
 /// unanswered request receives a "cancelled"/serve_drain error, the
 /// cache spill is compacted, and run() returns; the CLI then exits
 /// 128+signum.  Fault probes kServeAccept and kServeDrain let tests
@@ -36,7 +36,7 @@ namespace soidom {
 struct ServeOptions {
   std::string socket_path;  ///< Unix-domain socket (unlinked/rebound)
   /// Per-job execution options (flow, budget, retry ladder, default
-  /// watchdog timeout).  journal/manifest/isolate/resume fields are
+  /// per-attempt timeout).  journal/manifest/isolate/resume fields are
   /// ignored: the service journal is the cone-cache spill, and results
   /// stream to the client instead of a manifest.
   BatchOptions batch;

@@ -199,9 +199,9 @@ struct MappingServer::Impl {
     }
     const JobOutcome& out = br.jobs[0];
     if (!out.terminal) {
-      // Cancelled mid-flight by drain (the batch watchdog propagates the
-      // signal into the job's CancelToken): no terminal state exists, so
-      // the only honest answer is a structured drain error.
+      // Cancelled mid-flight by drain (the signal trips the token every
+      // attempt observes): no terminal state exists, so the only honest
+      // answer is a structured drain error.
       send_error(fd, req.id, "cancelled", "serve_drain",
                  "request cancelled by server drain; resubmit after restart",
                  &counters.drain_rejections);
@@ -376,8 +376,8 @@ ServeReport MappingServer::run() {
     });
   }
 
-  // Drain: stop accepting, cancel in-flight work (the batch watchdog
-  // propagates a received signal into every armed CancelToken), answer
+  // Drain: stop accepting, cancel in-flight work (the signal handler
+  // tripped the token every in-flight attempt observes), answer
   // everything still pending with a structured drain error, then
   // compact the spill.  An injected kServeDrain fault must not be able
   // to skip any of that.

@@ -3,6 +3,8 @@
 /// seeded random-network generator for property tests.
 #pragma once
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,12 @@
 #include "soidom/network/network.hpp"
 
 namespace soidom::testing {
+
+/// Threads of this process: the entries of /proc/self/task.
+inline std::ptrdiff_t task_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
 
 /// The paper's running example (Fig. 2 / Fig. 3): f = (A + B + C) * D.
 inline Network fig2_network() {

@@ -4,8 +4,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "helpers.hpp"
 #include "soidom/base/contracts.hpp"
 #include "soidom/base/parallel.hpp"
 #include "soidom/base/rng.hpp"
@@ -172,75 +175,93 @@ TEST(Contracts, ErrorMessagePreserved) {
   }
 }
 
-// --- ThreadPool::run ---------------------------------------------------------
+// --- parallel_for -----------------------------------------------------------
 
-TEST(ThreadPool, EveryItemRunsOnceOnAValidWorker) {
-  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    ThreadPool pool(threads);
-    const unsigned size = pool.size();
-    EXPECT_EQ(size, threads == 0 ? hardware_thread_count() : threads);
-    constexpr std::size_t kItems = 1000;
-    std::vector<std::atomic<int>> runs(kItems);
+TEST(ParallelFor, EveryItemRunsOnceOnAValidWorker) {
+  struct Case {
+    std::size_t items;
+    unsigned threads;
+    unsigned workers;  // threads resolved and capped at items
+  };
+  for (const Case& c : {Case{1000, 1, 1}, Case{1000, 2, 2}, Case{1000, 4, 4},
+                        Case{1000, 0, hardware_thread_count()},
+                        Case{3, 8, 3}}) {
+    std::vector<std::atomic<int>> runs(c.items);
     std::atomic<int> bad_worker{0};
-    pool.run(kItems, [&](std::size_t item, unsigned worker) {
+    parallel_for(c.items, c.threads, [&](std::size_t item, unsigned worker) {
       runs[item].fetch_add(1, std::memory_order_relaxed);
-      if (worker >= size) bad_worker.fetch_add(1, std::memory_order_relaxed);
+      if (worker >= c.workers) {
+        bad_worker.fetch_add(1, std::memory_order_relaxed);
+      }
     });
-    for (std::size_t i = 0; i < kItems; ++i) {
-      EXPECT_EQ(runs[i].load(), 1) << "item " << i << ", pool " << threads;
+    for (std::size_t i = 0; i < c.items; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "item " << i << ", threads " << c.threads;
     }
-    EXPECT_EQ(bad_worker.load(), 0) << "pool " << threads;
+    EXPECT_EQ(bad_worker.load(), 0) << "threads " << c.threads;
   }
 }
 
 /// Every failing item may throw; the lowest index is rethrown whatever
-/// the schedule, and the pool stays usable afterwards.
-TEST(ThreadPool, RethrowsLowestIndexErrorAndStaysUsable) {
+/// the schedule.
+TEST(ParallelFor, RethrowsLowestIndexError) {
   for (const unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
     constexpr std::size_t kItems = 256;
     std::vector<std::atomic<int>> runs(kItems);
     try {
-      pool.run(kItems, [&](std::size_t item, unsigned) {
+      parallel_for(kItems, threads, [&](std::size_t item, unsigned) {
         runs[item].fetch_add(1, std::memory_order_relaxed);
         if (item == 17 || item == 200) {
           throw std::runtime_error("item " + std::to_string(item));
         }
       });
-      ADD_FAILURE() << "expected an exception, pool " << threads;
+      ADD_FAILURE() << "expected an exception, threads " << threads;
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "item 17") << "pool " << threads;
+      EXPECT_STREQ(e.what(), "item 17") << "threads " << threads;
     }
     for (std::size_t i = 0; i < kItems; ++i) {
       EXPECT_LE(runs[i].load(), 1) << "item " << i;
-      if (i <= 17) EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+      if (i <= 17) {
+        EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+      }
     }
-
-    std::atomic<std::size_t> sum{0};
-    pool.run(100, [&](std::size_t item, unsigned) { sum += item; });
-    EXPECT_EQ(sum.load(), 4950u) << "pool " << threads;
   }
 }
 
-/// Inline (size-1) pools run items in order, so everything after the
-/// first failure is skipped.
-TEST(ThreadPool, ItemsAfterAFailureAreSkipped) {
-  ThreadPool pool(1);
+/// One worker runs the items in order, so everything after the first
+/// failure is skipped.
+TEST(ParallelFor, ItemsAfterAFailureAreSkipped) {
   std::vector<int> ran;
-  EXPECT_THROW(pool.run(10,
-                        [&](std::size_t item, unsigned) {
-                          ran.push_back(static_cast<int>(item));
-                          if (item == 3) throw std::runtime_error("stop");
-                        }),
+  EXPECT_THROW(parallel_for(10, 1,
+                            [&](std::size_t item, unsigned) {
+                              ran.push_back(static_cast<int>(item));
+                              if (item == 3) throw std::runtime_error("stop");
+                            }),
                std::runtime_error);
   EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(ThreadPool, ZeroItemsIsANoOp) {
-  ThreadPool pool(2);
+TEST(ParallelFor, ZeroItemsIsANoOp) {
   bool called = false;
-  pool.run(0, [&](std::size_t, unsigned) { called = true; });
+  parallel_for(0, 2, [&](std::size_t, unsigned) { called = true; });
   EXPECT_FALSE(called);
+}
+
+/// One item, or one thread, runs on the caller as worker 0: the process
+/// has as many threads during the loop as before it.
+TEST(ParallelFor, OneItemOrOneThreadRunsOnTheCallerAndStartsNoThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::ptrdiff_t before = testing::task_count();
+  for (const auto& [items, threads] :
+       {std::pair<std::size_t, unsigned>{1, 4}, {8, 1}, {1, 0}}) {
+    std::size_t ran = 0;
+    parallel_for(items, threads, [&](std::size_t, unsigned worker) {
+      ++ran;
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(testing::task_count(), before);
+    });
+    EXPECT_EQ(ran, items) << items << " items, " << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "../src/batch/src/internal.hpp"
+#include "helpers.hpp"
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/batch/flags.hpp"
@@ -480,6 +481,27 @@ TEST(Batch, UnwritableJournalAbortsCleanly) {
   const BatchResult result = run_batch(registry_jobs({"z4ml"}), options);
   ASSERT_TRUE(result.aborted.has_value());
   EXPECT_FALSE(result.jobs[0].terminal);
+}
+
+/// One job at a time runs on the caller: the attempt sees the caller's
+/// thread and no more threads than there were before run_batch.
+TEST(Batch, SingleJobStartsNoThread) {
+  BatchOptions options = fast_options();
+  options.max_parallel = 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::ptrdiff_t before = testing::task_count();
+  std::thread::id attempt_thread;
+  std::ptrdiff_t during = -1;
+  BatchHooks hooks;
+  hooks.on_attempt_start = [&](const BatchJob&, int) {
+    attempt_thread = std::this_thread::get_id();
+    during = testing::task_count();
+  };
+  const BatchResult result =
+      run_batch(registry_jobs({"z4ml"}), options, hooks);
+  EXPECT_EQ(result.ok, 1);
+  EXPECT_EQ(attempt_thread, caller);
+  EXPECT_EQ(during, before);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "helpers.hpp"
 #include "soidom/batch/runner.hpp"
+#include "soidom/benchgen/generators.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/serialize.hpp"
@@ -210,6 +211,22 @@ TEST(Guarded, ExpiredDeadlineTripsCleanly) {
       run_flow_guarded(testing::full_adder_network(), FlowOptions{}, gopts);
   ASSERT_TRUE(outcome.diagnostic.has_value());
   EXPECT_EQ(outcome.diagnostic->code, ErrorCode::kDeadlineExceeded);
+}
+
+/// A deadline that passes while the flow runs stops it.  The guard reads
+/// the clock on its first checkpoint and then every 256th; that clock is
+/// the only deadline an in-process batch attempt has.
+TEST(Guarded, DeadlineExpiringMidFlowStopsIt) {
+  // Built beforehand; mapping it takes far longer than the deadline.
+  const Network net = gen_multiplier(48);
+  GuardOptions gopts;
+  gopts.deadline = Deadline::after_ms(10);
+  const FlowOutcome outcome = run_flow_guarded(net, FlowOptions{}, gopts);
+  ASSERT_TRUE(outcome.diagnostic.has_value());
+  EXPECT_EQ(outcome.diagnostic->code, ErrorCode::kDeadlineExceeded);
+  EXPECT_GT(outcome.diagnostic->stage, FlowStage::kValidate)
+      << flow_stage_name(outcome.diagnostic->stage);
+  EXPECT_FALSE(outcome.result.has_value());
 }
 
 TEST(Guarded, PreCancelledTokenTripsCleanly) {

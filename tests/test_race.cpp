@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "soidom/base/hash.hpp"
 #include "soidom/benchgen/generators.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
@@ -449,78 +450,66 @@ TEST(RaceFlow, BadOptionsRejectedByValidate) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across thread counts.
+// Determinism: run_race is serial, and its output is pinned.  The FNV-1a
+// digests were recorded when the analyzers still fanned gates out over a
+// thread pool (all thread counts agreed).
 
 TEST(RaceDeterminism, ReportAndSarifByteIdenticalAcrossThreads) {
   // Two small circuits with tight windows, and the largest paper-suite
-  // circuits (many gates and levels, so the per-gate work really spreads
-  // over the pool) with tight-but-passable ones.
+  // circuits (many gates and levels) with tight-but-passable ones.
   struct Case {
     const char* name;
     double t_eval, t_pre, skew, margin;
+    std::uint64_t json, sarif;
   };
-  for (const Case& c : {Case{"cm150", 20.0, 5.0, 0.25, 2.0},
-                        Case{"9symml", 20.0, 5.0, 0.25, 2.0},
-                        Case{"c1908", 40.0, 10.0, 0.3, 1.0},
-                        Case{"c5315", 40.0, 10.0, 0.3, 1.0},
-                        Case{"c7552", 40.0, 10.0, 0.3, 1.0},
-                        Case{"k2", 40.0, 10.0, 0.3, 1.0}}) {
-    const char* name = c.name;
+  const Case cases[] = {
+      {"cm150", 20.0, 5.0, 0.25, 2.0, 0x4077bc384b3eda1eull,
+       0xfa28824b843c6a8cull},
+      {"9symml", 20.0, 5.0, 0.25, 2.0, 0xdc2d45f8c6228317ull,
+       0x968ef4ba11d64ae8ull},
+      {"c1908", 40.0, 10.0, 0.3, 1.0, 0x874d7351f9ed2df9ull,
+       0x346bd05441ba8416ull},
+      {"c5315", 40.0, 10.0, 0.3, 1.0, 0x7c59f7445bb458a9ull,
+       0x26d88259fc309a6cull},
+      {"c7552", 40.0, 10.0, 0.3, 1.0, 0x0b13f99fa66e6d3aull,
+       0xaff2b82116e2cf21ull},
+      {"k2", 40.0, 10.0, 0.3, 1.0, 0x5e7c4b1d5765cf04ull,
+       0x469669b8561ab31full},
+  };
+  for (const Case& c : cases) {
     FlowOptions flow;
     flow.verify_rounds = 0;
-    const FlowResult mapped = run_flow(build_benchmark(name), flow);
-    std::string reference_json;
-    std::string reference_sarif;
-    for (const int threads : {1, 2, 4, 0}) {
-      RaceOptions opts;
-      opts.num_threads = threads;
-      opts.t_eval = c.t_eval;
-      opts.t_pre = c.t_pre;
-      opts.skew = c.skew;
-      opts.margin = c.margin;
-      const RaceResult r = run_race(mapped.netlist, opts);
-      const std::string json = r.report.to_json();
-      const std::string sarif = r.lint.to_sarif("x.circuit");
-      if (reference_json.empty()) {
-        reference_json = json;
-        reference_sarif = sarif;
-      } else {
-        EXPECT_EQ(json, reference_json) << name << " threads=" << threads;
-        EXPECT_EQ(sarif, reference_sarif) << name << " threads=" << threads;
-      }
-    }
+    const FlowResult mapped = run_flow(build_benchmark(c.name), flow);
+    RaceOptions opts;
+    opts.t_eval = c.t_eval;
+    opts.t_pre = c.t_pre;
+    opts.skew = c.skew;
+    opts.margin = c.margin;
+    const RaceResult r = run_race(mapped.netlist, opts);
+    EXPECT_EQ(fnv1a64(r.report.to_json()), c.json) << c.name;
+    EXPECT_EQ(fnv1a64(r.lint.to_sarif("x.circuit")), c.sarif) << c.name;
   }
 }
 
 TEST(RaceDeterminism, ScaleCircuitAllAnalyzersByteIdenticalAcrossThreads) {
   // benchgen scale circuit (not a paper fixture): the full analyzer
-  // stack — flow lint, CSA, race — must serialize identically whatever
-  // thread counts the analyzers run at.
+  // stack — flow lint, CSA, race — serializes to the pinned bytes.
   const Network source = gen_layered_dag(12, 6, 80, 0xb0d1e5);
-  std::string reference;
-  for (const int threads : {1, 2, 4, 0}) {
-    FlowOptions options;
-    options.verify_rounds = 0;
-    options.csa = true;
-    options.csa_options.num_threads = threads;
-    options.race = true;
-    options.race_options.num_threads = threads;
-    options.race_options.t_eval = 30.0;
-    options.race_options.t_pre = 6.0;
-    const FlowResult r = run_flow(source, options);
-    ASSERT_TRUE(r.csa.has_value());
-    ASSERT_TRUE(r.race.has_value());
-    const std::string serialized = r.lint.to_sarif("scale.circuit") + "\n" +
-                                   r.csa->report.to_json() + "\n" +
-                                   r.csa->lint.to_sarif("scale.circuit") +
-                                   "\n" + r.race->report.to_json() + "\n" +
-                                   r.race->lint.to_sarif("scale.circuit");
-    if (reference.empty()) {
-      reference = serialized;
-    } else {
-      EXPECT_EQ(serialized, reference) << "threads=" << threads;
-    }
-  }
+  FlowOptions options;
+  options.verify_rounds = 0;
+  options.csa = true;
+  options.race = true;
+  options.race_options.t_eval = 30.0;
+  options.race_options.t_pre = 6.0;
+  const FlowResult r = run_flow(source, options);
+  ASSERT_TRUE(r.csa.has_value());
+  ASSERT_TRUE(r.race.has_value());
+  const std::string serialized = r.lint.to_sarif("scale.circuit") + "\n" +
+                                 r.csa->report.to_json() + "\n" +
+                                 r.csa->lint.to_sarif("scale.circuit") +
+                                 "\n" + r.race->report.to_json() + "\n" +
+                                 r.race->lint.to_sarif("scale.circuit");
+  EXPECT_EQ(fnv1a64(serialized), 0x174c3cbfc168229eull);
 }
 
 // ---------------------------------------------------------------------------
