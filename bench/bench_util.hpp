@@ -12,7 +12,7 @@
 
 namespace soidom::bench {
 
-/// Runs one flow variant on `circuit` with light verification (structural
+/// Runs one flow variant on `circuit` with light verification (lint
 /// always; functional with a few random rounds) and aborts loudly if the
 /// result is broken — a results table from a broken netlist is worthless.
 inline FlowResult run_checked(const std::string& circuit, FlowOptions options) {
@@ -21,7 +21,7 @@ inline FlowResult run_checked(const std::string& circuit, FlowOptions options) {
   FlowResult result = run_flow(source, options);
   if (!result.ok()) {
     std::fprintf(stderr, "FATAL: flow broken on '%s': %s%s\n",
-                 circuit.c_str(), result.structure.to_string().c_str(),
+                 circuit.c_str(), result.lint.to_text().c_str(),
                  result.function.to_string().c_str());
     std::abort();
   }

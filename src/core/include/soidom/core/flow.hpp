@@ -52,9 +52,7 @@ struct FlowOptions {
   bool sequence_aware = false;
   /// Post-mapping lint stage (lint/lint.hpp): the flow always records the
   /// full report in FlowResult::lint; findings at or above this severity
-  /// fail the flow with a kLint diagnostic.  Error findings additionally
-  /// surface through the legacy FlowResult::structure report, so the
-  /// default (kError) matches the historical verify_structure behavior.
+  /// fail the flow with a kLint diagnostic.
   LintSeverity lint_fail_on = LintSeverity::kError;
   /// Charge-sharing & PBE-safety static analysis (csa/csa.hpp) after
   /// lint: records the droop report and csa.* findings in
@@ -112,8 +110,6 @@ struct FlowResult {
   /// proof statuses also live on the findings inside `lint` / `csa` /
   /// `race` (Finding::proof / original_severity / proof_note).
   std::optional<ProveReport> prove;
-  /// Error-severity lint findings, flattened (legacy view of `lint`).
-  VerifyReport structure;
   VerifyReport function;
   /// Result of BDD equivalence when requested and tractable.
   std::optional<bool> exact;
@@ -123,8 +119,8 @@ struct FlowResult {
   int discharges_pruned = 0;
 
   bool ok() const {
-    return structure.ok() && function.ok() && exact.value_or(true) &&
-           dp_analyzer_mismatches == 0;
+    return lint.clean(LintSeverity::kError) && function.ok() &&
+           exact.value_or(true) && dp_analyzer_mismatches == 0;
   }
 };
 

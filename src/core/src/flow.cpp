@@ -153,9 +153,8 @@ void run_stage_sequence(const Network& source, const FlowOptions& options,
   result.stats = compute_stats(result.netlist);
   completed.netlist = true;
 
-  // Structural checks now run through the lint engine; the historical
-  // kVerifyStructure probe point is kept for fault-injection coverage and
-  // the error-severity findings feed the legacy `structure` report.
+  // Structural checks are lint rules; the kVerifyStructure stage and its
+  // probe stay so seeded fault-injection streams keep their positions.
   enter(guard, FlowStage::kVerifyStructure);
   SOIDOM_FAULT_PROBE(FlowStage::kVerifyStructure);
   enter(guard, FlowStage::kLint);
@@ -191,15 +190,6 @@ void run_stage_sequence(const Network& source, const FlowOptions& options,
                  result.prove->budget_hits, result.prove->targets(),
                  result.prove->node_budget),
           {}});
-    }
-  }
-
-  // The legacy structure report flattens error-severity findings AFTER
-  // the proof tier, so a refuted (downgraded) finding no longer fails
-  // the flow — that is the entire point of refutation.
-  for (const Finding& f : result.lint.findings) {
-    if (f.severity >= LintSeverity::kError) {
-      result.structure.problems.push_back(f.to_string());
     }
   }
 
@@ -256,22 +246,15 @@ void run_stage_sequence(const Network& source, const FlowOptions& options,
   }
 
   // Verification mismatches become a Diagnostic, but the mapped netlist
-  // is still returned for triage.  The first failing gate wins: the
-  // structure check; lint, csa, race and prove; function, exact and the
-  // DP cross-check.  A CONFIRMED finding is a proven hazard, not a
+  // is still returned for triage.  The first failing gate wins: lint,
+  // csa, race and prove; function, exact and the DP cross-check.  The
+  // gates run after the proof tier, so a refuted (downgraded) finding no
+  // longer fails the flow.  A CONFIRMED finding is a proven hazard, not a
   // conservative bound, so it fails the flow at prove_fail_on even when
   // its family's own gate is looser; it keeps its original severity.
-  if (!result.structure.ok()) {
-    out.diagnostic = Diagnostic{ErrorCode::kVerificationFailed,
-                                FlowStage::kVerifyStructure,
-                                result.structure.to_string(),
-                                {}};
-  }
-  if (!out.diagnostic) {
-    out.diagnostic = fail_on_gate(FlowStage::kLint, "lint failed",
-                                  options.lint_fail_on, result.lint,
-                                  {&result.lint}, false);
-  }
+  out.diagnostic = fail_on_gate(FlowStage::kLint, "lint failed",
+                                options.lint_fail_on, result.lint,
+                                {&result.lint}, false);
   if (!out.diagnostic && result.csa) {
     out.diagnostic = fail_on_gate(
         FlowStage::kCsa, "charge-sharing analysis failed", options.csa_fail_on,
@@ -484,7 +467,8 @@ std::string summarize(const FlowResult& r) {
       "gates=%d T_logic=%d T_disch=%d T_total=%d T_clock=%d levels=%d "
       "structure=%s function=%s",
       r.stats.num_gates, r.stats.t_logic, r.stats.t_disch, r.stats.t_total,
-      r.stats.t_clock, r.stats.levels, r.structure.ok() ? "ok" : "FAIL",
+      r.stats.t_clock, r.stats.levels,
+      r.lint.clean(LintSeverity::kError) ? "ok" : "FAIL",
       r.function.ok() ? "ok" : "FAIL");
   if (r.exact.has_value()) {
     out += format(" exact=%s", *r.exact ? "equivalent" : "DIFFERENT");

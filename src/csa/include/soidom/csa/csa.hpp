@@ -28,7 +28,7 @@
 /// pointwise-max fallback that is still conservative (all junctions
 /// shared, all eligible devices firing) and flags the gate as truncated.
 ///
-/// Findings are reported through the lint engine as the `csa.*` rule
+/// Findings are reported in the lint report format as the `csa.*` rule
 /// family (docs/LINT.md): `csa.pbe-discharge` (error) when parasitic
 /// paths can overpower the keeper, `csa.droop-margin` (warning) when the
 /// droop bound crosses the noise margin, `csa.state-explosion` (info)
@@ -228,17 +228,12 @@ struct CsaReport {
   std::string to_json() const;
 };
 
-/// Analysis outcome: the droop report plus csa.* findings rendered
-/// through the lint engine (text / JSON / SARIF emitters apply).
+/// Analysis outcome: the droop report plus csa.* findings as a
+/// LintReport (text / JSON / SARIF emitters apply).
 struct CsaResult {
   CsaReport report;
   LintReport lint;
 };
-
-/// Lint registry holding the csa.* rules over `report`.  The registry
-/// keeps references: `report` and `options` must outlive any run_lint
-/// call using it (run_csa handles this internally; exposed for tests).
-LintRegistry csa_registry(const CsaReport& report, const CsaOptions& options);
 
 /// Run the analyzer over a structurally valid netlist, one gate after
 /// another on the calling thread.  Thread-compatible (concurrent calls on

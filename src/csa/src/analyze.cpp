@@ -341,6 +341,81 @@ std::string pulldown_json(const CsaPulldownBound& b) {
                 json_escape(b.worst_state).c_str());
 }
 
+/// The csa.* findings over `report`, one rule after another
+/// (docs/LINT.md has the catalogue).
+LintReport csa_findings(const CsaReport& report, const CsaOptions& options) {
+  std::vector<Finding> out;
+  // Calls fn(gate, which, bound) for every analyzed pulldown.
+  const auto for_each_bound = [&](auto&& fn) {
+    for (const CsaGateReport& gate : report.gates) {
+      fn(gate, 1, gate.pd1);
+      if (gate.dual) fn(gate, 2, gate.pd2);
+    }
+  };
+  const auto emit = [&](const char* rule, LintSeverity severity,
+                        const CsaGateReport& gate, int which,
+                        std::string message, const char* fixit) {
+    Finding f;
+    f.rule = rule;
+    f.severity = severity;
+    f.location.gate = gate.gate;
+    f.location.pdn = which;
+    f.message = std::move(message);
+    f.fixit = fixit;
+    out.push_back(std::move(f));
+  };
+  for_each_bound([&](const CsaGateReport& gate, int which,
+                     const CsaPulldownBound& b) {
+    if (!b.keeper_overpowered) return;
+    emit("csa.pbe-discharge", LintSeverity::kError, gate, which,
+         format("%d parasitic device%s can fire against keeper strength %d "
+                "with ground reachable (droop bound %.3f V, worst state: %s)",
+                b.firings, b.firings == 1 ? "" : "s", options.keeper_strength,
+                b.droop, b.worst_state.c_str()),
+         "increase the keeper strength or attach discharge transistors "
+         "to the exposed junctions");
+  });
+  const double limit = options.margin * options.charge.vdd;
+  for_each_bound([&](const CsaGateReport& gate, int which,
+                     const CsaPulldownBound& b) {
+    // A keeper-overpowered pulldown already gets the (stronger)
+    // csa.pbe-discharge error; don't double-report.
+    if (b.keeper_overpowered || b.droop < limit) return;
+    emit("csa.droop-margin", LintSeverity::kWarning, gate, which,
+         format("droop bound %.3f V exceeds the noise margin %.3f V "
+                "(%.3f shared cap units, %d injecting device%s, worst "
+                "state: %s)",
+                b.droop, limit, b.share_cap, b.firings,
+                b.firings == 1 ? "" : "s", b.worst_state.c_str()),
+         "attach discharge transistors to precharge the exposed "
+         "junctions low, or reduce the stack depth");
+  });
+  for_each_bound([&](const CsaGateReport& gate, int which,
+                     const CsaPulldownBound& b) {
+    if (!b.truncated) return;
+    emit("csa.state-explosion", LintSeverity::kInfo, gate, which,
+         format("pulldown state space exceeds max_states=%ld; the reported "
+                "bound assumes every junction shares and every eligible "
+                "device fires (still conservative, possibly loose)",
+                options.max_states),
+         "raise CsaOptions::max_states for an exact enumeration");
+  });
+  return make_lint_report(
+      std::move(out),
+      {{"csa.pbe-discharge",
+        "a parasitic-bipolar discharge path can overpower the keeper and "
+        "flip the dynamic node",
+        LintSeverity::kError},
+       {"csa.droop-margin",
+        "worst-case charge-sharing droop exceeds the noise margin",
+        LintSeverity::kWarning},
+       {"csa.state-explosion",
+        "state enumeration truncated; the bound is the coarser "
+        "pointwise-max fallback",
+        LintSeverity::kInfo}},
+      options.waivers);
+}
+
 }  // namespace
 
 std::string CsaReport::to_json() const {
@@ -425,11 +500,7 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
     if (gate.truncated()) ++result.report.gates_truncated;
   }
 
-  LintOptions lint_options;
-  lint_options.waivers = options.waivers;
-  const LintRegistry registry = csa_registry(result.report, options);
-  result.lint = run_lint(registry, netlist, lint_options, nullptr,
-                         FlowStage::kCsa);
+  result.lint = csa_findings(result.report, options);
   return result;
 }
 

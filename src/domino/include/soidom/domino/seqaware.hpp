@@ -90,9 +90,9 @@ SeqAwareStats prune_unexcitable_discharges(DominoNetlist& netlist);
 
 /// Point query: can `point` inside the given pulldown ever be excited?
 /// `footed` is the pulldown's own foot flag (for dual gates pass the
-/// matching pdn/footed pair).  Used by verify_structure to accept
-/// netlists whose unexcitable points were pruned.  (Builds the pulldown's
-/// conditions per call; fine for occasional verification, use
+/// matching pdn/footed pair).  Used by the `pbe-protection` lint rule to
+/// accept netlists whose unexcitable points were pruned.  (Builds the
+/// pulldown's conditions per call; fine for occasional verification, use
 /// prune_unexcitable_discharges for bulk work.)
 bool discharge_point_excitable(const DominoNetlist& netlist, const Pdn& pdn,
                                bool footed, const DischargePoint& point);

@@ -1,11 +1,8 @@
 /// \file verify.hpp
-/// Structural and functional verification of mapped domino netlists.
-///
-/// verify_structure is a thin compatibility shim over the lint engine
-/// (lint/lint.hpp): it runs the historical subset of the rule catalogue
-/// and flattens error-severity findings back into strings.  New code
-/// should call run_lint directly for structured findings, severities and
-/// SARIF output.  Both functions are defined in the lint module.
+/// Functional verification of mapped domino netlists by random
+/// simulation.  Structural checks (topological order, footedness, PBE
+/// protection, ...) are lint rules: call run_lint (lint/lint.hpp).
+/// Defined in the lint module.
 #pragma once
 
 #include <string>
@@ -21,21 +18,6 @@ struct VerifyReport {
   bool ok() const { return problems.empty(); }
   std::string to_string() const;
 };
-
-/// Structural checks (the historical contract — the lint engine's
-/// topo-order / dangling-ref / empty-gate / footedness / pbe-protection
-/// rules):
-///  * leaf signals reference only inputs or earlier gates (topological);
-///  * footedness matches pulldown contents (footed iff some leaf is an
-///    input literal);
-///  * every PBE-required discharge point carries a discharge transistor
-///    (with `allow_unexcitable_unprotected`, an unprotected point is also
-///    accepted when sequence-aware analysis proves it unexcitable);
-///  * discharge points refer to existing junctions.
-VerifyReport verify_structure(const DominoNetlist& netlist,
-                              GroundingPolicy policy,
-                              PendingModel model = PendingModel::kCoherent,
-                              bool allow_unexcitable_unprotected = false);
 
 /// Random-simulation equivalence against the ORIGINAL (pre-unate) network.
 /// `rounds` words of 64 patterns.

@@ -28,7 +28,8 @@ enum class FlowStage : std::uint8_t {
   kMap,              ///< DP technology mapping
   kPostPass,         ///< discharge insertion / stack rearrangement
   kSeqAware,         ///< sequence-aware discharge pruning
-  kVerifyStructure,  ///< structural netlist checks
+  kVerifyStructure,  ///< probe point before lint (whose rules are the
+                     ///< structural netlist checks)
   kLint,             ///< rule-based static lint over the mapped netlist
   kCsa,              ///< charge-sharing / PBE-safety static analysis
   kRace,             ///< phase / monotonicity / race static analysis

@@ -1,12 +1,12 @@
 /// \file lint.hpp
 /// Rule-based static analysis (DRC/ERC) of mapped domino netlists.
 ///
-/// The engine runs an extensible registry of LintRules over a
-/// DominoNetlist (optionally cross-checked against the source Network)
-/// and produces structured Findings: a stable rule id, a severity, a
-/// location (gate / pulldown / junction / output), a message, and an
-/// optional fix-it hint.  Reports render as human text, JSON, or SARIF
-/// 2.1.0 for CI annotation.  docs/LINT.md is the rule catalogue.
+/// The engine runs a fixed table of built-in rules over a DominoNetlist
+/// (optionally cross-checked against the source Network) and produces
+/// structured Findings: a stable rule id, a severity, a location (gate /
+/// pulldown / junction / output), a message, and an optional fix-it
+/// hint.  Reports render as human text, JSON, or SARIF 2.1.0 for CI
+/// annotation.  docs/LINT.md is the rule catalogue.
 ///
 /// The headline rule, `pbe-protection`, re-derives every PBE discharge
 /// point from the netlist alone (pdn/analyze.hpp — independent of the
@@ -14,17 +14,16 @@
 /// transistors the mapper actually emitted, honouring sequence-aware
 /// unexcitability proofs when the caller allows them.
 ///
-/// Layering: lint sits above domino/pdn/network and below core/flow.
-/// The historical `verify_structure` (domino/verify.hpp) is now a thin
-/// compatibility shim over this engine (defined in this module).
+/// Layering: lint sits above domino/pdn/network and below csa, race and
+/// core/flow.  The csa.* and race.* families build their findings
+/// themselves and finish them through make_lint_report, so every family
+/// shares one report format, one waiver syntax and one set of emitters.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "soidom/domino/netlist.hpp"
-#include "soidom/guard/diagnostic.hpp"
 #include "soidom/network/network.hpp"
 
 namespace soidom {
@@ -104,13 +103,11 @@ struct LintOptions {
   /// `shape-limits` rule.
   int max_width = 0;
   int max_height = 0;
-  /// Rule ids to skip (exact match).
-  std::vector<std::string> disabled_rules;
   /// Accepted findings: each entry is `rule` or `rule@substring`, where the
   /// substring matches the finding's qualified location name (e.g.
-  /// "csa.droop-margin@gate4").  Unlike disabled_rules the rule still
-  /// runs; matching findings are marked Finding::waived, excluded from
-  /// count()/clean()/summary(), and emitted as SARIF suppressions.
+  /// "csa.droop-margin@gate4").  The rule still runs; matching findings
+  /// are marked Finding::waived, excluded from count()/clean()/summary(),
+  /// and emitted as SARIF suppressions.
   std::vector<std::string> waivers;
 };
 
@@ -151,58 +148,20 @@ struct LintReport {
   std::string to_sarif_run(const std::string& artifact_uri = "") const;
 };
 
-/// Everything a rule may inspect.  `sound` reports whether the foundation
-/// rules (topo-order / dangling-ref / empty-gate) found no errors; rules
-/// that index through the netlist require it (see LintRule::needs_sound).
-struct LintContext {
-  const DominoNetlist& netlist;
-  const Network* source = nullptr;
-  const LintOptions& options;
-  bool sound = true;
-};
+/// A family's report: `findings` in order, each marked waived when an
+/// entry of `waivers` matches it, with `rules` (every rule of the family,
+/// including any that did not run) as its rules table.  run_lint, run_csa
+/// and run_race all finish their reports here.
+LintReport make_lint_report(std::vector<Finding> findings,
+                            std::vector<LintRuleInfo> rules,
+                            const std::vector<std::string>& waivers);
 
-/// One check.  Implementations emit any number of findings; the engine
-/// fills in the rule id and default severity when the rule leaves them
-/// unset.
-class LintRule {
- public:
-  virtual ~LintRule() = default;
-  virtual const char* id() const = 0;
-  virtual const char* summary() const = 0;
-  virtual LintSeverity severity() const { return LintSeverity::kError; }
-  /// Foundation rules (false) run first on any netlist; rules returning
-  /// true are skipped when a foundation rule reported an error, so they
-  /// may index gates/signals without re-validating them.
-  virtual bool needs_sound() const { return true; }
-  virtual void run(const LintContext& context,
-                   std::vector<Finding>& out) const = 0;
-};
-
-/// An ordered rule collection.  `builtin()` returns the full catalogue
-/// (docs/LINT.md); callers may append project-specific rules.
-class LintRegistry {
- public:
-  void add(std::unique_ptr<LintRule> rule);
-  const std::vector<std::unique_ptr<LintRule>>& rules() const {
-    return rules_;
-  }
-
-  static LintRegistry builtin();
-
- private:
-  std::vector<std::unique_ptr<LintRule>> rules_;
-};
-
-/// Run `registry` over the netlist.  Thread-compatible: concurrent calls
-/// on distinct netlists are safe.  Checkpoints the installed guard and
-/// attributes to `stage` (kLint by default; the CSA engine reuses this
-/// entry point under FlowStage::kCsa).
-LintReport run_lint(const LintRegistry& registry, const DominoNetlist& netlist,
-                    const LintOptions& options = {},
-                    const Network* source = nullptr,
-                    FlowStage stage = FlowStage::kLint);
-
-/// Convenience: run the built-in catalogue.
+/// Run the built-in rule table (docs/LINT.md) over the netlist: the
+/// foundation rules first, then the rules that index through the netlist,
+/// which are skipped (but still listed in LintReport::rules) when a
+/// foundation rule reported an error.  Thread-compatible: concurrent
+/// calls on distinct netlists are safe.  Checkpoints the installed guard
+/// under FlowStage::kLint once per rule.
 LintReport run_lint(const DominoNetlist& netlist,
                     const LintOptions& options = {},
                     const Network* source = nullptr);

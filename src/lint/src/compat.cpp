@@ -1,9 +1,7 @@
 /// \file compat.cpp
-/// The historical verification entry points (domino/verify.hpp), now thin
-/// shims over the lint engine so every caller gets the same structured
-/// findings with consistent gate/output indices.
-#include <algorithm>
-
+/// domino/verify.hpp's entry points: VerifyReport::to_string and
+/// verify_function, whose mismatches are worded as `functional-equiv`
+/// findings so they read like every other structured result.
 #include "soidom/base/strings.hpp"
 #include "soidom/domino/verify.hpp"
 #include "soidom/guard/fault.hpp"
@@ -19,29 +17,6 @@ std::string VerifyReport::to_string() const {
   for (const std::string& p : problems) {
     out += p;
     out += '\n';
-  }
-  return out;
-}
-
-VerifyReport verify_structure(const DominoNetlist& netlist,
-                              GroundingPolicy policy, PendingModel model,
-                              bool allow_unexcitable_unprotected) {
-  StageScope stage(FlowStage::kVerifyStructure);
-  SOIDOM_FAULT_PROBE(FlowStage::kVerifyStructure);
-  LintOptions options;
-  options.grounding = policy;
-  options.pending_model = model;
-  options.allow_unexcitable_unprotected = allow_unexcitable_unprotected;
-  // The historical contract covers structure and PBE protection only;
-  // the stricter provenance / accounting rules are lint-stage additions.
-  options.disabled_rules = {"input-phase", "io-contract", "overhead-count",
-                            "clock-foot"};
-  const LintReport report = run_lint(netlist, options);
-  VerifyReport out;
-  for (const Finding& f : report.findings) {
-    if (f.severity >= LintSeverity::kError) {
-      out.problems.push_back(f.to_string());
-    }
   }
   return out;
 }

@@ -1,8 +1,6 @@
 #include "soidom/lint/lint.hpp"
 
 #include "soidom/base/strings.hpp"
-#include "soidom/guard/fault.hpp"
-#include "soidom/guard/guard.hpp"
 
 namespace soidom {
 
@@ -135,65 +133,21 @@ std::string LintReport::summary() const {
   return out;
 }
 
-void LintRegistry::add(std::unique_ptr<LintRule> rule) {
-  SOIDOM_ASSERT(rule != nullptr);
-  rules_.push_back(std::move(rule));
-}
-
-LintReport run_lint(const LintRegistry& registry, const DominoNetlist& netlist,
-                    const LintOptions& options, const Network* source,
-                    FlowStage stage) {
-  StageScope scope(stage);
-  SOIDOM_FAULT_PROBE(stage);
-  LintReport report;
-  LintContext context{netlist, source, options, true};
-  const auto disabled = [&](const char* id) {
-    for (const std::string& d : options.disabled_rules) {
-      if (d == id) return true;
-    }
-    return false;
-  };
-  // Foundation rules (needs_sound() == false) run first; dependent rules
-  // run only when no foundation rule reported an error, so they may index
-  // gates / signals / junctions without re-validating them.
-  for (const int pass : {0, 1}) {
-    for (const auto& rule : registry.rules()) {
-      if (rule->needs_sound() != (pass == 1)) continue;
-      if (disabled(rule->id())) continue;
-      report.rules.push_back(
-          LintRuleInfo{rule->id(), rule->summary(), rule->severity()});
-      if (pass == 1 && !context.sound) continue;
-      guard_checkpoint();
-      std::vector<Finding> found;
-      rule->run(context, found);
-      for (Finding& f : found) {
-        if (f.rule.empty()) f.rule = rule->id();
-        for (const std::string& waiver : options.waivers) {
-          if (waiver_matches(waiver, f)) {
-            f.waived = true;
-            break;
-          }
-        }
-        report.findings.push_back(std::move(f));
+LintReport make_lint_report(std::vector<Finding> findings,
+                            std::vector<LintRuleInfo> rules,
+                            const std::vector<std::string>& waivers) {
+  for (Finding& f : findings) {
+    for (const std::string& waiver : waivers) {
+      if (waiver_matches(waiver, f)) {
+        f.waived = true;
+        break;
       }
-    }
-    if (pass == 0) {
-      // Waived foundation errors still mean the netlist is unsafe to
-      // index, so soundness ignores waivers.
-      bool sound = true;
-      for (const Finding& f : report.findings) {
-        if (f.severity >= LintSeverity::kError) sound = false;
-      }
-      context.sound = sound;
     }
   }
+  LintReport report;
+  report.findings = std::move(findings);
+  report.rules = std::move(rules);
   return report;
-}
-
-LintReport run_lint(const DominoNetlist& netlist, const LintOptions& options,
-                    const Network* source) {
-  static const LintRegistry registry = LintRegistry::builtin();
-  return run_lint(registry, netlist, options, source);
 }
 
 }  // namespace soidom

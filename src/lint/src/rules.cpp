@@ -1,5 +1,6 @@
 /// \file rules.cpp
-/// The built-in lint rule catalogue (docs/LINT.md documents every rule).
+/// The built-in lint rule table and run_lint (docs/LINT.md documents
+/// every rule).
 #include <algorithm>
 #include <set>
 
@@ -7,10 +8,23 @@
 #include "soidom/domino/postpass.hpp"
 #include "soidom/domino/seqaware.hpp"
 #include "soidom/domino/stats.hpp"
+#include "soidom/guard/fault.hpp"
+#include "soidom/guard/guard.hpp"
 #include "soidom/lint/lint.hpp"
 
 namespace soidom {
 namespace {
+
+/// Everything a rule may inspect.  `sound` reports whether the foundation
+/// rules (topo-order / dangling-ref / empty-gate) found no errors; the
+/// other rules run only when it holds, so they may index through the
+/// netlist without re-validating it.
+struct LintContext {
+  const DominoNetlist& netlist;
+  const Network* source = nullptr;
+  const LintOptions& options;
+  bool sound = true;
+};
 
 /// One pulldown of a gate, with everything the per-pdn rules need.
 struct PdnView {
@@ -82,109 +96,82 @@ Finding make(LintSeverity severity, LintLocation location, std::string message,
 /// `topo-order`: every in-range leaf signal references an input literal or
 /// the output of an EARLIER gate (the netlist invariant that makes single
 /// forward passes sound).
-class TopoOrderRule final : public LintRule {
- public:
-  const char* id() const override { return "topo-order"; }
-  const char* summary() const override {
-    return "leaf signals reference only inputs or earlier gates";
-  }
-  bool needs_sound() const override { return false; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    const std::uint32_t defined = static_cast<std::uint32_t>(
-        netlist.num_inputs() + netlist.gates().size());
-    for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        view.pdn.for_each_leaf([&](std::uint32_t sig) {
-          if (netlist.is_input_signal(sig) || sig >= defined) return;
-          const std::uint32_t other = netlist.gate_of_signal(sig);
-          if (other >= g) {
-            out.push_back(make(
-                LintSeverity::kError, at_gate(g, view.which),
-                format("references gate %u (not earlier): netlist is not "
-                       "topologically ordered",
-                       other)));
-          }
-        });
+void topo_order(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  const std::uint32_t defined = static_cast<std::uint32_t>(
+      netlist.num_inputs() + netlist.gates().size());
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      view.pdn.for_each_leaf([&](std::uint32_t sig) {
+        if (netlist.is_input_signal(sig) || sig >= defined) return;
+        const std::uint32_t other = netlist.gate_of_signal(sig);
+        if (other >= g) {
+          out.push_back(make(
+              LintSeverity::kError, at_gate(g, view.which),
+              format("references gate %u (not earlier): netlist is not "
+                     "topologically ordered",
+                     other)));
+        }
       });
-    }
+    });
   }
-};
+}
 
 /// `dangling-ref`: leaf signals, output signals and discharge points all
 /// refer to elements that exist.
-class DanglingRefRule final : public LintRule {
- public:
-  const char* id() const override { return "dangling-ref"; }
-  const char* summary() const override {
-    return "signals and discharge points refer to existing elements";
-  }
-  bool needs_sound() const override { return false; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    const std::uint32_t defined = static_cast<std::uint32_t>(
-        netlist.num_inputs() + netlist.gates().size());
-    for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
-      const DominoGate& gate = netlist.gates()[g];
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        view.pdn.for_each_leaf([&](std::uint32_t sig) {
-          if (sig >= defined) {
-            out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
-                               format("references undefined signal %u", sig)));
-          }
-        });
-        for (const DischargePoint& p : view.discharges) {
-          if (p.at_bottom()) continue;
-          if (p.series_node >= view.pdn.pool_size()) {
-            out.push_back(
-                make(LintSeverity::kError, at_gate(g, view.which),
-                     format("discharge at nonexistent node %u", p.series_node)));
-            continue;
-          }
-          const PdnNode& n = view.pdn.node(p.series_node);
-          if (n.kind != PdnKind::kSeries || p.pos + 1 >= n.children.size()) {
-            out.push_back(
-                make(LintSeverity::kError, at_gate(g, view.which),
-                     format("discharge at invalid junction (s=%u,p=%u)",
-                            p.series_node, p.pos)));
-          }
+void dangling_ref(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  const std::uint32_t defined = static_cast<std::uint32_t>(
+      netlist.num_inputs() + netlist.gates().size());
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
+    const DominoGate& gate = netlist.gates()[g];
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      view.pdn.for_each_leaf([&](std::uint32_t sig) {
+        if (sig >= defined) {
+          out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
+                             format("references undefined signal %u", sig)));
         }
       });
-      if (!gate.dual() && !gate.discharges2.empty()) {
-        out.push_back(make(LintSeverity::kError, at_gate(g),
-                           "discharges2 set on a classic gate"));
+      for (const DischargePoint& p : view.discharges) {
+        if (p.at_bottom()) continue;
+        if (p.series_node >= view.pdn.pool_size()) {
+          out.push_back(
+              make(LintSeverity::kError, at_gate(g, view.which),
+                   format("discharge at nonexistent node %u", p.series_node)));
+          continue;
+        }
+        const PdnNode& n = view.pdn.node(p.series_node);
+        if (n.kind != PdnKind::kSeries || p.pos + 1 >= n.children.size()) {
+          out.push_back(
+              make(LintSeverity::kError, at_gate(g, view.which),
+                   format("discharge at invalid junction (s=%u,p=%u)",
+                          p.series_node, p.pos)));
+        }
       }
-    }
-    for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
-      const DominoOutput& o = netlist.outputs()[j];
-      if (o.constant < 0 && o.signal >= defined) {
-        out.push_back(make(LintSeverity::kError, at_output(j),
-                           format("dangling signal %u", o.signal)));
-      }
+    });
+    if (!gate.dual() && !gate.discharges2.empty()) {
+      out.push_back(make(LintSeverity::kError, at_gate(g),
+                         "discharges2 set on a classic gate"));
     }
   }
-};
+  for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
+    const DominoOutput& o = netlist.outputs()[j];
+    if (o.constant < 0 && o.signal >= defined) {
+      out.push_back(make(LintSeverity::kError, at_output(j),
+                         format("dangling signal %u", o.signal)));
+    }
+  }
+}
 
 /// `empty-gate`: every gate has a non-empty primary pulldown.
-class EmptyGateRule final : public LintRule {
- public:
-  const char* id() const override { return "empty-gate"; }
-  const char* summary() const override {
-    return "every gate has a non-empty primary pulldown";
-  }
-  bool needs_sound() const override { return false; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
-      if (context.netlist.gates()[g].pdn.empty()) {
-        out.push_back(make(LintSeverity::kError, at_gate(g),
-                           "empty pulldown"));
-      }
+void empty_gate(const LintContext& context, std::vector<Finding>& out) {
+  for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
+    if (context.netlist.gates()[g].pdn.empty()) {
+      out.push_back(make(LintSeverity::kError, at_gate(g),
+                         "empty pulldown"));
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // Structural rules (require a sound netlist).
@@ -193,227 +180,186 @@ class EmptyGateRule final : public LintRule {
 /// `footedness`: the footed flag matches the pulldown contents — a clock
 /// foot is required exactly when some leaf is a primary-input literal
 /// (paper section IV; the flag drives overhead and PBE grounding).
-class FootednessRule final : public LintRule {
- public:
-  const char* id() const override { return "footedness"; }
-  const char* summary() const override {
-    return "footed flags match pulldown contents";
-  }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
-      const DominoGate& gate = netlist.gates()[g];
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        bool has_input_leaf = false;
-        view.pdn.for_each_leaf([&](std::uint32_t sig) {
-          if (netlist.is_input_signal(sig)) has_input_leaf = true;
-        });
-        if (view.footed != has_input_leaf) {
-          out.push_back(make(
-              LintSeverity::kError, at_gate(g, view.which),
-              format("footed=%d but has_input_leaf=%d",
-                     static_cast<int>(view.footed),
-                     static_cast<int>(has_input_leaf)),
-              has_input_leaf ? "add the n-clock foot transistor (footed=1)"
-                             : "drop the n-clock foot transistor (footed=0)"));
-        }
+void footedness(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
+    const DominoGate& gate = netlist.gates()[g];
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      bool has_input_leaf = false;
+      view.pdn.for_each_leaf([&](std::uint32_t sig) {
+        if (netlist.is_input_signal(sig)) has_input_leaf = true;
       });
-      if (!gate.dual() && gate.footed2) {
-        out.push_back(make(LintSeverity::kError, at_gate(g),
-                           "footed2 set on a classic gate"));
+      if (view.footed != has_input_leaf) {
+        out.push_back(make(
+            LintSeverity::kError, at_gate(g, view.which),
+            format("footed=%d but has_input_leaf=%d",
+                   static_cast<int>(view.footed),
+                   static_cast<int>(has_input_leaf)),
+            has_input_leaf ? "add the n-clock foot transistor (footed=1)"
+                           : "drop the n-clock foot transistor (footed=0)"));
       }
+    });
+    if (!gate.dual() && gate.footed2) {
+      out.push_back(make(LintSeverity::kError, at_gate(g),
+                         "footed2 set on a classic gate"));
     }
   }
-};
+}
 
 /// `shape-limits`: no pulldown exceeds the W/H ceilings the mapper was
 /// run with (paper section IV's W_max/H_max feasibility constraints).
-class ShapeLimitsRule final : public LintRule {
- public:
-  const char* id() const override { return "shape-limits"; }
-  const char* summary() const override {
-    return "pulldown width/height within the mapper's W/H limits";
+void shape_limits(const LintContext& context, std::vector<Finding>& out) {
+  const int wmax = context.options.max_width;
+  const int hmax = context.options.max_height;
+  if (wmax <= 0 && hmax <= 0) return;
+  for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      if (wmax > 0 && view.pdn.width() > wmax) {
+        out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
+                           format("width %d exceeds W=%d",
+                                  view.pdn.width(), wmax),
+                           "split the pulldown across gates (remap)"));
+      }
+      if (hmax > 0 && view.pdn.height() > hmax) {
+        out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
+                           format("height %d exceeds H=%d",
+                                  view.pdn.height(), hmax),
+                           "split the pulldown across gates (remap)"));
+      }
+    });
   }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const int wmax = context.options.max_width;
-    const int hmax = context.options.max_height;
-    if (wmax <= 0 && hmax <= 0) return;
-    for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        if (wmax > 0 && view.pdn.width() > wmax) {
-          out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
-                             format("width %d exceeds W=%d",
-                                    view.pdn.width(), wmax),
-                             "split the pulldown across gates (remap)"));
-        }
-        if (hmax > 0 && view.pdn.height() > hmax) {
-          out.push_back(make(LintSeverity::kError, at_gate(g, view.which),
-                             format("height %d exceeds H=%d",
-                                    view.pdn.height(), hmax),
-                             "split the pulldown across gates (remap)"));
-        }
-      });
-    }
-  }
-};
+}
 
 /// `input-phase`: input literals carry valid primary-input provenance and
 /// no (PI, phase) pair is defined twice.
-class InputPhaseRule final : public LintRule {
- public:
-  const char* id() const override { return "input-phase"; }
-  const char* summary() const override {
-    return "input literals have valid, unique PI provenance";
-  }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    std::set<std::pair<int, bool>> seen;
-    for (std::size_t k = 0; k < netlist.inputs().size(); ++k) {
-      const InputLiteral& in = netlist.inputs()[k];
-      if (in.source_pi < 0) {
-        out.push_back(make(LintSeverity::kError, at_input(k),
-                           "source primary input is unset"));
-        continue;
-      }
-      if (context.source != nullptr &&
-          static_cast<std::size_t>(in.source_pi) >=
-              context.source->pis().size()) {
-        out.push_back(make(
-            LintSeverity::kError, at_input(k),
-            format("source primary input %d out of range (network has %zu)",
-                   in.source_pi, context.source->pis().size())));
-        continue;
-      }
-      if (!seen.insert({in.source_pi, in.negated}).second) {
-        out.push_back(make(
-            LintSeverity::kWarning, at_input(k),
-            format("duplicate literal for PI %d (%s phase)", in.source_pi,
-                   in.negated ? "negative" : "positive"),
-            "merge the duplicate literals into one netlist input"));
-      }
+void input_phase(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  std::set<std::pair<int, bool>> seen;
+  for (std::size_t k = 0; k < netlist.inputs().size(); ++k) {
+    const InputLiteral& in = netlist.inputs()[k];
+    if (in.source_pi < 0) {
+      out.push_back(make(LintSeverity::kError, at_input(k),
+                         "source primary input is unset"));
+      continue;
+    }
+    if (context.source != nullptr &&
+        static_cast<std::size_t>(in.source_pi) >=
+            context.source->pis().size()) {
+      out.push_back(make(
+          LintSeverity::kError, at_input(k),
+          format("source primary input %d out of range (network has %zu)",
+                 in.source_pi, context.source->pis().size())));
+      continue;
+    }
+    if (!seen.insert({in.source_pi, in.negated}).second) {
+      out.push_back(make(
+          LintSeverity::kWarning, at_input(k),
+          format("duplicate literal for PI %d (%s phase)", in.source_pi,
+                 in.negated ? "negative" : "positive"),
+          "merge the duplicate literals into one netlist input"));
     }
   }
-  LintSeverity severity() const override { return LintSeverity::kError; }
-};
+}
 
 /// `io-contract`: outputs are named and (when the source network is
 /// available) match its primary outputs one-to-one, in order.
-class IoContractRule final : public LintRule {
- public:
-  const char* id() const override { return "io-contract"; }
-  const char* summary() const override {
-    return "outputs named and aligned with the source network";
-  }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
-      if (netlist.outputs()[j].name.empty()) {
-        out.push_back(
-            make(LintSeverity::kError, at_output(j), "unnamed output"));
-      }
+void io_contract(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
+    if (netlist.outputs()[j].name.empty()) {
+      out.push_back(
+          make(LintSeverity::kError, at_output(j), "unnamed output"));
     }
-    if (context.source == nullptr) return;
-    const auto& want = context.source->outputs();
-    if (netlist.outputs().size() != want.size()) {
+  }
+  if (context.source == nullptr) return;
+  const auto& want = context.source->outputs();
+  if (netlist.outputs().size() != want.size()) {
+    out.push_back(make(
+        LintSeverity::kError, LintLocation{},
+        format("output count mismatch: netlist %zu vs source %zu",
+               netlist.outputs().size(), want.size())));
+    return;
+  }
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    if (netlist.outputs()[j].name != want[j].name) {
       out.push_back(make(
-          LintSeverity::kError, LintLocation{},
-          format("output count mismatch: netlist %zu vs source %zu",
-                 netlist.outputs().size(), want.size())));
-      return;
-    }
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      if (netlist.outputs()[j].name != want[j].name) {
-        out.push_back(make(
-            LintSeverity::kError, at_output(j),
-            format("name '%s' does not match source output '%s'",
-                   netlist.outputs()[j].name.c_str(), want[j].name.c_str())));
-      }
+          LintSeverity::kError, at_output(j),
+          format("name '%s' does not match source output '%s'",
+                 netlist.outputs()[j].name.c_str(), want[j].name.c_str())));
     }
   }
-};
+}
 
 /// `overhead-count`: re-derive every DominoStats column from first
 /// principles (leaf counts + the section-IV overhead constants + the
 /// discharge sets + an independent level computation) and cross-check
 /// compute_stats().  Also rejects duplicate discharge points, which would
 /// silently double-count transistors.
-class OverheadCountRule final : public LintRule {
- public:
-  const char* id() const override { return "overhead-count"; }
-  const char* summary() const override {
-    return "transistor accounting consistent with the overhead model";
-  }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    DominoStats expect;
-    expect.num_gates = static_cast<int>(netlist.gates().size());
-    std::vector<int> level(netlist.gates().size(), 1);
-    for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
-      const DominoGate& gate = netlist.gates()[g];
-      int leaves = 0;
-      int feet = 0;
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        view.pdn.for_each_leaf([&](std::uint32_t sig) {
-          ++leaves;
-          if (!netlist.is_input_signal(sig)) {
-            const std::uint32_t other = netlist.gate_of_signal(sig);
-            level[g] = std::max(level[g], 1 + level[other]);
-          }
-        });
-        feet += view.footed ? 1 : 0;
-        expect.t_disch += static_cast<int>(view.discharges.size());
-        // Duplicate points double-count in every transistor budget.
-        for (std::size_t i = 0; i < view.discharges.size(); ++i) {
-          const auto begin = view.discharges.begin();
-          if (std::find(begin, begin + static_cast<std::ptrdiff_t>(i),
-                        view.discharges[i]) != begin + static_cast<std::ptrdiff_t>(i)) {
-            out.push_back(make(
-                LintSeverity::kError,
-                at_gate(g, view.which,
-                        canonical_point_label(view.pdn, view.discharges[i])),
-                "duplicate discharge transistor at the same point",
-                "remove the duplicate"));
-          }
+void overhead_count(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  DominoStats expect;
+  expect.num_gates = static_cast<int>(netlist.gates().size());
+  std::vector<int> level(netlist.gates().size(), 1);
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
+    const DominoGate& gate = netlist.gates()[g];
+    int leaves = 0;
+    int feet = 0;
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      view.pdn.for_each_leaf([&](std::uint32_t sig) {
+        ++leaves;
+        if (!netlist.is_input_signal(sig)) {
+          const std::uint32_t other = netlist.gate_of_signal(sig);
+          level[g] = std::max(level[g], 1 + level[other]);
         }
       });
-      const int overhead = gate.dual() ? kGateOverheadDual + feet
-                           : (gate.footed ? kGateOverheadFooted
-                                          : kGateOverheadFootless);
-      expect.t_logic += leaves + overhead;
-      expect.t_clock += (gate.dual() ? 2 : 1) + feet +
-                        static_cast<int>(gate.discharges.size() +
-                                         gate.discharges2.size());
-    }
-    expect.t_total = expect.t_logic + expect.t_disch;
-    for (const DominoOutput& o : netlist.outputs()) {
-      if (o.constant < 0 && !netlist.is_input_signal(o.signal)) {
-        expect.levels =
-            std::max(expect.levels,
-                     level[netlist.gate_of_signal(o.signal)]);
+      feet += view.footed ? 1 : 0;
+      expect.t_disch += static_cast<int>(view.discharges.size());
+      // Duplicate points double-count in every transistor budget.
+      for (std::size_t i = 0; i < view.discharges.size(); ++i) {
+        const auto begin = view.discharges.begin();
+        const auto end = begin + static_cast<std::ptrdiff_t>(i);
+        if (std::find(begin, end, view.discharges[i]) != end) {
+          out.push_back(make(
+              LintSeverity::kError,
+              at_gate(g, view.which,
+                      canonical_point_label(view.pdn, view.discharges[i])),
+              "duplicate discharge transistor at the same point",
+              "remove the duplicate"));
+        }
       }
-    }
-    const DominoStats got = compute_stats(netlist);
-    auto check = [&](const char* field, int want, int have) {
-      if (want == have) return;
-      out.push_back(make(
-          LintSeverity::kError, LintLocation{},
-          format("stats mismatch: %s re-derived as %d but compute_stats "
-                 "reports %d",
-                 field, want, have)));
-    };
-    check("t_logic", expect.t_logic, got.t_logic);
-    check("t_disch", expect.t_disch, got.t_disch);
-    check("t_total", expect.t_total, got.t_total);
-    check("t_clock", expect.t_clock, got.t_clock);
-    check("num_gates", expect.num_gates, got.num_gates);
-    check("levels", expect.levels, got.levels);
+    });
+    const int overhead = gate.dual() ? kGateOverheadDual + feet
+                         : (gate.footed ? kGateOverheadFooted
+                                        : kGateOverheadFootless);
+    expect.t_logic += leaves + overhead;
+    expect.t_clock += (gate.dual() ? 2 : 1) + feet +
+                      static_cast<int>(gate.discharges.size() +
+                                       gate.discharges2.size());
   }
-};
+  expect.t_total = expect.t_logic + expect.t_disch;
+  for (const DominoOutput& o : netlist.outputs()) {
+    if (o.constant < 0 && !netlist.is_input_signal(o.signal)) {
+      expect.levels =
+          std::max(expect.levels,
+                   level[netlist.gate_of_signal(o.signal)]);
+    }
+  }
+  const DominoStats got = compute_stats(netlist);
+  auto check = [&](const char* field, int want, int have) {
+    if (want == have) return;
+    out.push_back(make(
+        LintSeverity::kError, LintLocation{},
+        format("stats mismatch: %s re-derived as %d but compute_stats "
+               "reports %d",
+               field, want, have)));
+  };
+  check("t_logic", expect.t_logic, got.t_logic);
+  check("t_disch", expect.t_disch, got.t_disch);
+  check("t_total", expect.t_total, got.t_total);
+  check("t_clock", expect.t_clock, got.t_clock);
+  check("num_gates", expect.num_gates, got.num_gates);
+  check("levels", expect.levels, got.levels);
+}
 
 // ---------------------------------------------------------------------------
 // Clocking / PBE rules.
@@ -422,109 +368,84 @@ class OverheadCountRule final : public LintRule {
 /// `clock-foot`: no discharge pMOS sits on a bottom node that the
 /// grounding policy already ties to ground (directly or through the
 /// clock foot) — the transistor would be dead weight on the clock net.
-class ClockFootRule final : public LintRule {
- public:
-  const char* id() const override { return "clock-foot"; }
-  const char* summary() const override {
-    return "no bottom discharge on a pulldown grounded under the policy";
+void clock_foot(const LintContext& context, std::vector<Finding>& out) {
+  for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      if (!view.grounded) return;
+      for (const DischargePoint& p : view.discharges) {
+        if (!p.at_bottom()) continue;
+        out.push_back(make(
+            LintSeverity::kError, at_gate(g, view.which, "bottom"),
+            "bottom discharge transistor on a pulldown whose bottom is "
+            "grounded under the current policy",
+            "remove it (the node can never float high)"));
+      }
+    });
   }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        if (!view.grounded) return;
-        for (const DischargePoint& p : view.discharges) {
-          if (!p.at_bottom()) continue;
-          out.push_back(make(
-              LintSeverity::kError, at_gate(g, view.which, "bottom"),
-              "bottom discharge transistor on a pulldown whose bottom is "
-              "grounded under the current policy",
-              "remove it (the node can never float high)"));
-        }
-      });
-    }
-  }
-};
+}
 
 /// `excess-discharge`: discharge transistors the PBE analysis does not
 /// require.  Harmless electrically, but they cost area and clock load the
 /// paper's T_disch column is meant to minimize.
-class ExcessDischargeRule final : public LintRule {
- public:
-  const char* id() const override { return "excess-discharge"; }
-  const char* summary() const override {
-    return "no discharge transistors beyond the PBE requirement";
-  }
-  LintSeverity severity() const override { return LintSeverity::kWarning; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        if (view.pdn.empty()) return;
-        const PbeAnalysis analysis = analyze_pbe(
-            view.pdn, view.grounded, context.options.pending_model);
-        for (const DischargePoint& p : view.discharges) {
-          if (p.at_bottom() && view.grounded) continue;  // clock-foot's case
-          if (std::find(analysis.required.begin(), analysis.required.end(),
-                        p) != analysis.required.end()) {
-            continue;
-          }
-          out.push_back(make(
-              LintSeverity::kWarning,
-              at_gate(g, view.which, canonical_point_label(view.pdn, p)),
-              "discharge transistor not required by the PBE analysis",
-              "remove it"));
+void excess_discharge(const LintContext& context, std::vector<Finding>& out) {
+  for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      if (view.pdn.empty()) return;
+      const PbeAnalysis analysis = analyze_pbe(
+          view.pdn, view.grounded, context.options.pending_model);
+      for (const DischargePoint& p : view.discharges) {
+        if (p.at_bottom() && view.grounded) continue;  // clock-foot's case
+        if (std::find(analysis.required.begin(), analysis.required.end(),
+                      p) != analysis.required.end()) {
+          continue;
         }
-      });
-    }
+        out.push_back(make(
+            LintSeverity::kWarning,
+            at_gate(g, view.which, canonical_point_label(view.pdn, p)),
+            "discharge transistor not required by the PBE analysis",
+            "remove it"));
+      }
+    });
   }
-};
+}
 
 /// `pbe-protection` (headline): independently re-derive every required
 /// discharge point from the netlist alone (pdn/analyze.hpp) and require a
 /// discharge transistor on each.  With allow_unexcitable_unprotected, a
 /// missing transistor is accepted — and reported at info level — when the
 /// sequence-aware BDD analysis proves the point unexcitable.
-class PbeProtectionRule final : public LintRule {
- public:
-  const char* id() const override { return "pbe-protection"; }
-  const char* summary() const override {
-    return "every PBE-required discharge point carries a transistor";
-  }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
-      for_each_pdn(context, g, [&](const PdnView& view) {
-        if (view.pdn.empty()) return;
-        const PbeAnalysis analysis = analyze_pbe(
-            view.pdn, view.grounded, context.options.pending_model);
-        for (const DischargePoint& p : analysis.required) {
-          if (std::find(view.discharges.begin(), view.discharges.end(), p) !=
-              view.discharges.end()) {
-            continue;
-          }
-          const std::string label = canonical_point_label(view.pdn, p);
-          if (context.options.allow_unexcitable_unprotected &&
-              !discharge_point_excitable(context.netlist, view.pdn,
-                                         view.footed, p)) {
-            out.push_back(make(
-                LintSeverity::kInfo, at_gate(g, view.which, label),
-                format("required discharge point %s proven unexcitable; "
-                       "accepted without a transistor",
-                       to_string(p).c_str())));
-            continue;
-          }
-          out.push_back(make(
-              LintSeverity::kError, at_gate(g, view.which, label),
-              format("PBE-required discharge point %s unprotected (pdn=%s)",
-                     to_string(p).c_str(), view.pdn.to_string().c_str()),
-              format("attach a clock-driven discharge pMOS at %s",
-                     label.c_str())));
+void pbe_protection(const LintContext& context, std::vector<Finding>& out) {
+  for (std::size_t g = 0; g < context.netlist.gates().size(); ++g) {
+    for_each_pdn(context, g, [&](const PdnView& view) {
+      if (view.pdn.empty()) return;
+      const PbeAnalysis analysis = analyze_pbe(
+          view.pdn, view.grounded, context.options.pending_model);
+      for (const DischargePoint& p : analysis.required) {
+        if (std::find(view.discharges.begin(), view.discharges.end(), p) !=
+            view.discharges.end()) {
+          continue;
         }
-      });
-    }
+        const std::string label = canonical_point_label(view.pdn, p);
+        if (context.options.allow_unexcitable_unprotected &&
+            !discharge_point_excitable(context.netlist, view.pdn,
+                                       view.footed, p)) {
+          out.push_back(make(
+              LintSeverity::kInfo, at_gate(g, view.which, label),
+              format("required discharge point %s proven unexcitable; "
+                     "accepted without a transistor",
+                     to_string(p).c_str())));
+          continue;
+        }
+        out.push_back(make(
+            LintSeverity::kError, at_gate(g, view.which, label),
+            format("PBE-required discharge point %s unprotected (pdn=%s)",
+                   to_string(p).c_str(), view.pdn.to_string().c_str()),
+            format("attach a clock-driven discharge pMOS at %s",
+                   label.c_str())));
+      }
+    });
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // Hygiene rules.
@@ -532,95 +453,132 @@ class PbeProtectionRule final : public LintRule {
 
 /// `unused-logic`: gates whose output no gate or netlist output consumes
 /// (dead area), and input literals nothing reads.
-class UnusedLogicRule final : public LintRule {
- public:
-  const char* id() const override { return "unused-logic"; }
-  const char* summary() const override {
-    return "every gate output and input literal is consumed";
+void unused_logic(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  std::vector<bool> consumed(netlist.num_inputs() + netlist.gates().size(),
+                             false);
+  for (const DominoGate& gate : netlist.gates()) {
+    gate.for_each_leaf([&](std::uint32_t sig) { consumed[sig] = true; });
   }
-  LintSeverity severity() const override { return LintSeverity::kWarning; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    std::vector<bool> consumed(netlist.num_inputs() + netlist.gates().size(),
-                               false);
-    for (const DominoGate& gate : netlist.gates()) {
-      gate.for_each_leaf([&](std::uint32_t sig) { consumed[sig] = true; });
-    }
-    for (const DominoOutput& o : netlist.outputs()) {
-      if (o.constant < 0) consumed[o.signal] = true;
-    }
-    for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
-      if (!consumed[netlist.signal_of_gate(static_cast<std::uint32_t>(g))]) {
-        out.push_back(make(LintSeverity::kWarning, at_gate(g),
-                           "gate output is never consumed",
-                           "remove the dead gate"));
-      }
-    }
-    for (std::size_t k = 0; k < netlist.num_inputs(); ++k) {
-      if (!consumed[k]) {
-        out.push_back(make(LintSeverity::kInfo, at_input(k),
-                           "input literal is never consumed"));
-      }
+  for (const DominoOutput& o : netlist.outputs()) {
+    if (o.constant < 0) consumed[o.signal] = true;
+  }
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
+    if (!consumed[netlist.signal_of_gate(static_cast<std::uint32_t>(g))]) {
+      out.push_back(make(LintSeverity::kWarning, at_gate(g),
+                         "gate output is never consumed",
+                         "remove the dead gate"));
     }
   }
-};
+  for (std::size_t k = 0; k < netlist.num_inputs(); ++k) {
+    if (!consumed[k]) {
+      out.push_back(make(LintSeverity::kInfo, at_input(k),
+                         "input literal is never consumed"));
+    }
+  }
+}
 
 /// `monotone-output`: the netlist is a monotone (unate) structure; an
 /// inverted output over a negated literal or a constant re-introduces an
 /// inversion that should have been folded away.
-class MonotoneOutputRule final : public LintRule {
- public:
-  const char* id() const override { return "monotone-output"; }
-  const char* summary() const override {
-    return "no foldable double inversion at an output";
-  }
-  LintSeverity severity() const override { return LintSeverity::kWarning; }
-  void run(const LintContext& context,
-           std::vector<Finding>& out) const override {
-    const DominoNetlist& netlist = context.netlist;
-    for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
-      const DominoOutput& o = netlist.outputs()[j];
-      if (!o.inverted) continue;
-      if (o.constant >= 0) {
-        out.push_back(make(LintSeverity::kWarning, at_output(j),
-                           format("inverted constant output (tie to %d)",
-                                  1 - o.constant),
-                           "fold the inversion into the constant"));
-        continue;
-      }
-      if (netlist.is_input_signal(o.signal) &&
-          netlist.inputs()[o.signal].negated) {
-        out.push_back(make(
-            LintSeverity::kWarning, at_output(j),
-            format("output inverts the negated literal '%s' (double "
-                   "negation of PI %d)",
-                   netlist.inputs()[o.signal].name.c_str(),
-                   netlist.inputs()[o.signal].source_pi),
-            "drive the output from the positive-phase literal"));
-      }
+void monotone_output(const LintContext& context, std::vector<Finding>& out) {
+  const DominoNetlist& netlist = context.netlist;
+  for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
+    const DominoOutput& o = netlist.outputs()[j];
+    if (!o.inverted) continue;
+    if (o.constant >= 0) {
+      out.push_back(make(LintSeverity::kWarning, at_output(j),
+                         format("inverted constant output (tie to %d)",
+                                1 - o.constant),
+                         "fold the inversion into the constant"));
+      continue;
+    }
+    if (netlist.is_input_signal(o.signal) &&
+        netlist.inputs()[o.signal].negated) {
+      out.push_back(make(
+          LintSeverity::kWarning, at_output(j),
+          format("output inverts the negated literal '%s' (double "
+                 "negation of PI %d)",
+                 netlist.inputs()[o.signal].name.c_str(),
+                 netlist.inputs()[o.signal].source_pi),
+          "drive the output from the positive-phase literal"));
     }
   }
+}
+
+/// One built-in rule.  A rule leaves Finding::rule empty; run_lint
+/// fills in the id.
+struct BuiltinRule {
+  const char* id;
+  const char* summary;
+  LintSeverity severity;
+  bool foundation;  ///< runs on any netlist; the others need a sound one
+  void (*run)(const LintContext& context, std::vector<Finding>& out);
+};
+
+constexpr BuiltinRule kBuiltinRules[] = {
+    {"topo-order", "leaf signals reference only inputs or earlier gates",
+     LintSeverity::kError, true, topo_order},
+    {"dangling-ref", "signals and discharge points refer to existing elements",
+     LintSeverity::kError, true, dangling_ref},
+    {"empty-gate", "every gate has a non-empty primary pulldown",
+     LintSeverity::kError, true, empty_gate},
+    {"footedness", "footed flags match pulldown contents",
+     LintSeverity::kError, false, footedness},
+    {"shape-limits", "pulldown width/height within the mapper's W/H limits",
+     LintSeverity::kError, false, shape_limits},
+    {"input-phase", "input literals have valid, unique PI provenance",
+     LintSeverity::kError, false, input_phase},
+    {"io-contract", "outputs named and aligned with the source network",
+     LintSeverity::kError, false, io_contract},
+    {"overhead-count",
+     "transistor accounting consistent with the overhead model",
+     LintSeverity::kError, false, overhead_count},
+    {"clock-foot",
+     "no bottom discharge on a pulldown grounded under the policy",
+     LintSeverity::kError, false, clock_foot},
+    {"excess-discharge", "no discharge transistors beyond the PBE requirement",
+     LintSeverity::kWarning, false, excess_discharge},
+    {"pbe-protection",
+     "every PBE-required discharge point carries a transistor",
+     LintSeverity::kError, false, pbe_protection},
+    {"unused-logic", "every gate output and input literal is consumed",
+     LintSeverity::kWarning, false, unused_logic},
+    {"monotone-output", "no foldable double inversion at an output",
+     LintSeverity::kWarning, false, monotone_output},
 };
 
 }  // namespace
 
-LintRegistry LintRegistry::builtin() {
-  LintRegistry registry;
-  registry.add(std::make_unique<TopoOrderRule>());
-  registry.add(std::make_unique<DanglingRefRule>());
-  registry.add(std::make_unique<EmptyGateRule>());
-  registry.add(std::make_unique<FootednessRule>());
-  registry.add(std::make_unique<ShapeLimitsRule>());
-  registry.add(std::make_unique<InputPhaseRule>());
-  registry.add(std::make_unique<IoContractRule>());
-  registry.add(std::make_unique<OverheadCountRule>());
-  registry.add(std::make_unique<ClockFootRule>());
-  registry.add(std::make_unique<ExcessDischargeRule>());
-  registry.add(std::make_unique<PbeProtectionRule>());
-  registry.add(std::make_unique<UnusedLogicRule>());
-  registry.add(std::make_unique<MonotoneOutputRule>());
-  return registry;
+LintReport run_lint(const DominoNetlist& netlist, const LintOptions& options,
+                    const Network* source) {
+  StageScope scope(FlowStage::kLint);
+  SOIDOM_FAULT_PROBE(FlowStage::kLint);
+  LintContext context{netlist, source, options, true};
+  std::vector<Finding> findings;
+  std::vector<LintRuleInfo> rules;
+  // Foundation rules run first; the others run only when no foundation
+  // rule reported an error.
+  for (const bool foundation : {true, false}) {
+    for (const BuiltinRule& rule : kBuiltinRules) {
+      if (rule.foundation != foundation) continue;
+      rules.push_back(LintRuleInfo{rule.id, rule.summary, rule.severity});
+      if (!foundation && !context.sound) continue;
+      guard_checkpoint();
+      const std::size_t first = findings.size();
+      rule.run(context, findings);
+      for (std::size_t i = first; i < findings.size(); ++i) {
+        if (findings[i].rule.empty()) findings[i].rule = rule.id;
+      }
+    }
+    // Waived foundation errors still mean the netlist is unsafe to
+    // index, so soundness ignores waivers.
+    for (const Finding& f : findings) {
+      if (f.severity >= LintSeverity::kError) context.sound = false;
+    }
+  }
+  return make_lint_report(std::move(findings), std::move(rules),
+                          options.waivers);
 }
 
 }  // namespace soidom

@@ -38,8 +38,8 @@
 /// evaluate transitions per gate, and tests/test_race.cpp proves every
 /// observation is statically flagged (docs/RACE.md has the argument).
 ///
-/// Findings flow through the lint engine as the `race.*` rule family
-/// (docs/LINT.md) with waivers, text / JSON / SARIF 2.1.0 emitters.
+/// Findings come out in the lint report format as the `race.*` rule
+/// family (docs/LINT.md) with waivers, text / JSON / SARIF 2.1.0 emitters.
 /// Layering: race sits above lint/timing/pdn/domino and below core/flow
 /// (run_flow drives it as FlowStage::kRace when FlowOptions::race is set).
 #pragma once
@@ -154,18 +154,12 @@ struct RaceReport {
   std::string to_json() const;
 };
 
-/// Analysis outcome: the race report plus race.* findings rendered
-/// through the lint engine (text / JSON / SARIF emitters apply).
+/// Analysis outcome: the race report plus race.* findings as a
+/// LintReport (text / JSON / SARIF emitters apply).
 struct RaceResult {
   RaceReport report;
   LintReport lint;
 };
-
-/// Lint registry holding the race.* rules over `report`.  The registry
-/// keeps references: `report` and `options` must outlive any run_lint
-/// call using it (run_race handles this internally; exposed for tests).
-LintRegistry race_registry(const RaceReport& report,
-                           const RaceOptions& options);
 
 /// Run the analyzer over a structurally valid netlist, one gate after
 /// another on the calling thread.  Thread-compatible (concurrent calls on

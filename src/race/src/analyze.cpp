@@ -131,6 +131,125 @@ std::string level_json(const RaceLevelReport& l) {
                 l.skip_fanins);
 }
 
+/// The race.* findings over `report`, one rule after another
+/// (docs/LINT.md has the catalogue).
+LintReport race_findings(const RaceReport& report,
+                         const RaceOptions& options) {
+  std::vector<Finding> out;
+  const auto emit = [&](const char* rule, LintSeverity severity,
+                        const RaceGateReport& gate, int which,
+                        std::string message, const char* fixit) {
+    Finding f;
+    f.rule = rule;
+    f.severity = severity;
+    f.location.gate = gate.gate;
+    f.location.pdn = which;
+    f.message = std::move(message);
+    f.fixit = fixit;
+    out.push_back(std::move(f));
+  };
+  for (const RaceGateReport& gate : report.gates) {
+    for (const auto& [which, pairs] :
+         {std::pair{1, gate.parity_pairs}, std::pair{2, gate.parity_pairs2}}) {
+      if (pairs == 0) continue;
+      emit("race.inversion-parity", LintSeverity::kError, gate, which,
+           format("%d primary input%s required in both phases on a series "
+                  "path; the pulldown can only conduct through a "
+                  "mid-evaluate falling glitch",
+                  pairs, pairs == 1 ? "" : "s"),
+           "re-run unate conversion; a correctly unate mapping never "
+           "places complementary literals in series");
+    }
+  }
+  for (const RaceGateReport& gate : report.gates) {
+    for (const auto& [which, mix] :
+         {std::pair{1, gate.mix1}, std::pair{2, gate.mix2}}) {
+      if (!mix) continue;
+      emit("race.static-mix", LintSeverity::kError, gate, which,
+           format("footless pulldown can conduct while the precharge device "
+                  "is on (%d stale-high fanin%s feeding it)",
+                  gate.nonmonotone_inputs,
+                  gate.nonmonotone_inputs == 1 ? "" : "s"),
+           "add a clock foot transistor, or fix the stale-high drivers "
+           "(race.precharge-overrun) feeding this gate");
+    }
+  }
+  for (const RaceGateReport& gate : report.gates) {
+    if (!gate.stale_high) continue;
+    emit("race.precharge-overrun", LintSeverity::kError, gate, 0,
+         format("precharge bound %.3f + skew %.3f overruns t_pre %.3f by "
+                "%.3f; the output falls mid-evaluate and is non-monotone to "
+                "%d fanout%s",
+                gate.pre_max, options.skew, options.t_pre, -gate.pre_slack,
+                gate.fanout, gate.fanout == 1 ? "" : "s"),
+         "widen the precharge window, strengthen the precharge device "
+         "(smaller per_parallel / per_discharge loading), or reduce the "
+         "pulldown width");
+  }
+  for (const RaceGateReport& gate : report.gates) {
+    if (options.t_eval <= 0.0 || gate.eval_slack >= 0.0) continue;
+    emit("race.eval-overrun", LintSeverity::kWarning, gate, 0,
+         format("arrival bound %.3f + skew %.3f overruns t_eval %.3f by "
+                "%.3f (level %d)",
+                gate.arrival_max, options.skew, options.t_eval,
+                -gate.eval_slack, gate.level),
+         "widen the evaluate window or rebalance the path (the levels "
+         "table in the race report shows where the slack went)");
+  }
+  const bool margin_checked =
+      options.margin > 0.0 && (options.t_eval > 0.0 || options.t_pre > 0.0);
+  for (const RaceGateReport& gate : report.gates) {
+    // Overruns already get their own (stronger) findings.
+    if (!margin_checked || gate.stale_high) continue;
+    if (options.t_eval > 0.0 && gate.eval_slack < 0.0) continue;
+    if (gate.skew_tolerance >= options.margin) continue;
+    emit("race.skew-margin", LintSeverity::kWarning, gate, 0,
+         format("residual slack %.3f is below the required margin %.3f "
+                "(eval slack %.3f, precharge slack %.3f)",
+                gate.skew_tolerance, options.margin, gate.eval_slack,
+                gate.pre_slack),
+         "tighten the clock distribution or widen the windows");
+  }
+  for (const RaceGateReport& gate : report.gates) {
+    if (options.num_phases < 2 || gate.skip_fanins == 0) continue;
+    emit("race.phase-skip", LintSeverity::kWarning, gate, 0,
+         format("%d fanin%s skip%s up to %d level%s into phase %d; the "
+                "driver's wave precharges before this gate evaluates",
+                gate.skip_fanins, gate.skip_fanins == 1 ? "" : "s",
+                gate.skip_fanins == 1 ? "s" : "", gate.max_fanin_gap,
+                gate.max_fanin_gap == 1 ? "" : "s", gate.phase),
+         "insert buffer gates to balance the path (the planned "
+         "path-balancing DP consumes the levels table for this)");
+  }
+  return make_lint_report(
+      std::move(out),
+      {{"race.inversion-parity",
+        "a series path requires both phases of one primary input; "
+        "conduction needs a non-monotone evaluate transition",
+        LintSeverity::kError},
+       {"race.static-mix",
+        "a footless pulldown can conduct during precharge (static/domino "
+        "crowbar path)",
+        LintSeverity::kError},
+       {"race.precharge-overrun",
+        "precharge cannot finish inside the precharge window; the output "
+        "holds a stale high into evaluate (min-delay race)",
+        LintSeverity::kError},
+       {"race.eval-overrun",
+        "worst-case arrival overruns the evaluate window; the stage "
+        "handoff can miss",
+        LintSeverity::kWarning},
+       {"race.skew-margin",
+        "a stage handoff survives but with less residual slack than the "
+        "required skew-tolerance margin",
+        LintSeverity::kWarning},
+       {"race.phase-skip",
+        "a fanin crosses more than one level under a multi-phase clock "
+        "(wave-pipelining hazard)",
+        LintSeverity::kWarning}},
+      options.waivers);
+}
+
 }  // namespace
 
 std::string RaceReport::to_json() const {
@@ -311,11 +430,7 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
     row.spread = row.arrival_max - row.arrival_min;
   }
 
-  LintOptions lint_options;
-  lint_options.waivers = options.waivers;
-  const LintRegistry registry = race_registry(result.report, options);
-  result.lint = run_lint(registry, netlist, lint_options, nullptr,
-                         FlowStage::kRace);
+  result.lint = race_findings(result.report, options);
   return result;
 }
 

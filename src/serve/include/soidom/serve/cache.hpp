@@ -64,6 +64,11 @@ struct ConeCacheStats {
   std::uint64_t spill_loaded = 0;
 };
 
+/// {"hits":..,"misses":..,...,"entries":..,"bytes":..}: the cache object
+/// of the serve report and of the `stats` response.
+std::string cache_stats_json(const ConeCacheStats& stats, std::size_t entries,
+                             std::size_t bytes);
+
 class ConeCache : public MapConeCache {
  public:
   explicit ConeCache(const ConeCacheOptions& options);
@@ -97,9 +102,6 @@ class ConeCache : public MapConeCache {
   ConeCacheStats stats() const;
   std::size_t entries() const;
   std::size_t bytes() const;
-
-  /// {"hits":..,"misses":..,...,"entries":..,"bytes":..} for the report.
-  std::string stats_json() const;
 
  private:
   struct Impl;

@@ -324,20 +324,20 @@ std::size_t ConeCache::bytes() const {
   return n;
 }
 
-std::string ConeCache::stats_json() const {
-  const ConeCacheStats s = stats();
+std::string cache_stats_json(const ConeCacheStats& stats, std::size_t entries,
+                             std::size_t bytes) {
   return format(
       R"({"hits":%llu,"misses":%llu,"stores":%llu,"evictions":%llu,)"
       R"("read_faults":%llu,"corrupt_records":%llu,"spill_errors":%llu,)"
       R"("spill_loaded":%llu,"entries":%zu,"bytes":%zu})",
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses),
-      static_cast<unsigned long long>(s.stores),
-      static_cast<unsigned long long>(s.evictions),
-      static_cast<unsigned long long>(s.read_faults),
-      static_cast<unsigned long long>(s.corrupt_records),
-      static_cast<unsigned long long>(s.spill_errors),
-      static_cast<unsigned long long>(s.spill_loaded), entries(), bytes());
+      static_cast<unsigned long long>(stats.hits),
+      static_cast<unsigned long long>(stats.misses),
+      static_cast<unsigned long long>(stats.stores),
+      static_cast<unsigned long long>(stats.evictions),
+      static_cast<unsigned long long>(stats.read_faults),
+      static_cast<unsigned long long>(stats.corrupt_records),
+      static_cast<unsigned long long>(stats.spill_errors),
+      static_cast<unsigned long long>(stats.spill_loaded), entries, bytes);
 }
 
 }  // namespace soidom

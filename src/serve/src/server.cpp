@@ -66,20 +66,7 @@ std::string ServeReport::to_json() const {
       R"("interrupted_by_signal":%d,"spill_warnings":[%s]})"
       "\n",
       counters_json(counters).c_str(),
-      format(R"({"hits":%llu,"misses":%llu,"stores":%llu,"evictions":%llu,)"
-             R"("read_faults":%llu,"corrupt_records":%llu,)"
-             R"("spill_errors":%llu,"spill_loaded":%llu,)"
-             R"("entries":%zu,"bytes":%zu})",
-             static_cast<unsigned long long>(cache.hits),
-             static_cast<unsigned long long>(cache.misses),
-             static_cast<unsigned long long>(cache.stores),
-             static_cast<unsigned long long>(cache.evictions),
-             static_cast<unsigned long long>(cache.read_faults),
-             static_cast<unsigned long long>(cache.corrupt_records),
-             static_cast<unsigned long long>(cache.spill_errors),
-             static_cast<unsigned long long>(cache.spill_loaded),
-             cache_entries, cache_bytes)
-          .c_str(),
+      cache_stats_json(cache, cache_entries, cache_bytes).c_str(),
       interrupted_by_signal, warnings.c_str());
 }
 
@@ -151,8 +138,12 @@ struct MappingServer::Impl {
         return;
       case ServeRequest::Kind::kStats:
         counters.results.fetch_add(1, std::memory_order_relaxed);
-        send_line(fd, response_stats(req.id, cone_cache->stats_json(),
-                                     counters_json(counters.snapshot())));
+        send_line(fd, response_stats(
+                          req.id,
+                          cache_stats_json(cone_cache->stats(),
+                                           cone_cache->entries(),
+                                           cone_cache->bytes()),
+                          counters_json(counters.snapshot())));
         return;
       case ServeRequest::Kind::kMap:
         break;

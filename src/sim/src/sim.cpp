@@ -13,6 +13,9 @@ std::vector<SimWord> simulate_nodes(const Network& net,
   SOIDOM_REQUIRE(pi_words.size() == net.pis().size(),
                  "simulate_nodes: wrong number of PI words");
   std::vector<SimWord> value(net.size(), 0);
+  // Network's constructor creates both constant nodes; saying so also
+  // keeps GCC 12's -Wnull-dereference quiet about the stores below.
+  SOIDOM_ASSERT(value.size() > kConst1Id.value);
   value[kConst1Id.value] = ~SimWord{0};
   for (std::size_t k = 0; k < net.pis().size(); ++k) {
     value[net.pis()[k].value] = pi_words[k];

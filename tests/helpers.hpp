@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "soidom/base/rng.hpp"
+#include "soidom/lint/lint.hpp"
 #include "soidom/network/builder.hpp"
 #include "soidom/network/network.hpp"
 
@@ -18,6 +19,15 @@ namespace soidom::testing {
 inline std::ptrdiff_t task_count() {
   return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
                        std::filesystem::directory_iterator{});
+}
+
+/// Number of error-severity findings carrying `rule`.
+inline int errors_with_rule(const LintReport& report, const std::string& rule) {
+  int n = 0;
+  for (const Finding& f : report.findings) {
+    if (f.severity == LintSeverity::kError && f.rule == rule) ++n;
+  }
+  return n;
 }
 
 /// The paper's running example (Fig. 2 / Fig. 3): f = (A + B + C) * D.

@@ -47,7 +47,7 @@ TEST(ComplexGates, WideOrBecomesOneDualGate) {
   const FlowResult classic = run_flow(net, FlowOptions{});
   const FlowResult complex_flow = run_flow(net, complex_opts());
   ASSERT_TRUE(classic.ok());
-  ASSERT_TRUE(complex_flow.ok()) << complex_flow.structure.to_string();
+  ASSERT_TRUE(complex_flow.ok()) << complex_flow.lint.to_text();
 
   // Classic mapping needs >= 2 gates (W=8 > Wmax=5); the complex flow can
   // do it in one dual gate with two 4-wide pulldowns.
@@ -147,7 +147,7 @@ TEST(ComplexGates, SeqAwarePruningHandlesDualGates) {
   FlowOptions opts = complex_opts();
   opts.sequence_aware = true;
   const FlowResult r = run_flow(net, opts);
-  EXPECT_TRUE(r.ok()) << r.structure.to_string();
+  EXPECT_TRUE(r.ok()) << r.lint.to_text();
 }
 
 TEST(ComplexGates, DisabledByDefault) {

@@ -4,6 +4,7 @@
 #include "soidom/domino/postpass.hpp"
 #include "soidom/domino/stats.hpp"
 #include "soidom/domino/verify.hpp"
+#include "soidom/lint/lint.hpp"
 #include "soidom/mapper/mapper.hpp"
 #include "soidom/unate/unate.hpp"
 
@@ -27,6 +28,13 @@ DominoNetlist tiny_netlist() {
   const std::uint32_t s1 = nl.add_gate(std::move(g1));
   nl.add_output({s1, "z", false, -1});
   return nl;
+}
+
+/// Lint options under which a footed pulldown's bottom is not grounded.
+LintOptions footless_lint() {
+  LintOptions options;
+  options.grounding = GroundingPolicy::kFootlessGrounded;
+  return options;
 }
 
 TEST(Netlist, SignalEncoding) {
@@ -107,10 +115,13 @@ TEST(Postpass, InsertDischargesProtects) {
   nl.add_gate(std::move(g));
   nl.add_output({nl.signal_of_gate(0), "z", false, -1});
 
-  EXPECT_FALSE(verify_structure(nl, GroundingPolicy::kFootlessGrounded).ok());
+  const LintReport unprotected = run_lint(nl, footless_lint());
+  EXPECT_GT(testing::errors_with_rule(unprotected, "pbe-protection"), 0)
+      << unprotected.to_text();
   const int inserted = insert_discharges(nl);
   EXPECT_EQ(inserted, 1);
-  EXPECT_TRUE(verify_structure(nl, GroundingPolicy::kFootlessGrounded).ok());
+  const LintReport patched = run_lint(nl, footless_lint());
+  EXPECT_EQ(patched.count(LintSeverity::kError), 0) << patched.to_text();
 }
 
 TEST(Postpass, RearrangeStacksSavesDischarges) {
@@ -158,10 +169,9 @@ TEST(Verify, DetectsTopologyViolation) {
   g.footed = true;
   nl.add_gate(std::move(g));
   nl.add_output({nl.signal_of_gate(0), "z", false, -1});
-  const VerifyReport r =
-      verify_structure(nl, GroundingPolicy::kFootlessGrounded);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.to_string().find("topologically"), std::string::npos);
+  const LintReport r = run_lint(nl, footless_lint());
+  EXPECT_GT(testing::errors_with_rule(r, "topo-order"), 0) << r.to_text();
+  EXPECT_NE(r.to_text().find("topologically"), std::string::npos);
 }
 
 TEST(Verify, DetectsWrongFootedness) {
@@ -172,7 +182,8 @@ TEST(Verify, DetectsWrongFootedness) {
   g.footed = false;  // wrong: leaf is an input literal
   nl.add_gate(std::move(g));
   nl.add_output({nl.signal_of_gate(0), "z", false, -1});
-  EXPECT_FALSE(verify_structure(nl, GroundingPolicy::kFootlessGrounded).ok());
+  const LintReport r = run_lint(nl, footless_lint());
+  EXPECT_GT(testing::errors_with_rule(r, "footedness"), 0) << r.to_text();
 }
 
 TEST(Verify, DetectsBogusDischargePoint) {
@@ -184,7 +195,8 @@ TEST(Verify, DetectsBogusDischargePoint) {
   g.discharges.push_back(DischargePoint{0, 5});  // leaf node, junction 5
   nl.add_gate(std::move(g));
   nl.add_output({nl.signal_of_gate(0), "z", false, -1});
-  EXPECT_FALSE(verify_structure(nl, GroundingPolicy::kFootlessGrounded).ok());
+  const LintReport r = run_lint(nl, footless_lint());
+  EXPECT_GT(testing::errors_with_rule(r, "dangling-ref"), 0) << r.to_text();
 }
 
 TEST(Verify, FunctionCatchesBug) {

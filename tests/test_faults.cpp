@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <limits>
+#include <set>
 
 #include "helpers.hpp"
 #include "soidom/batch/runner.hpp"
@@ -131,6 +132,28 @@ TEST(Fault, RandomInjectorIsDeterministicPerSeed) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_EQ(run_once(123), run_once(123));
+}
+
+TEST(Fault, EveryStageProbesOnce) {
+  // Armed on a probe a Network flow never reaches, the injector only
+  // counts: each stage the flow runs reaches its probe exactly once.
+  FaultInjector injector = FaultInjector::fail_at(FlowStage::kParse);
+  FaultScope scope(injector);
+  FlowOptions options;
+  options.csa = true;
+  options.race = true;
+  options.prove = true;
+  const FlowOutcome outcome = run_flow_guarded(build_benchmark("b9"), options);
+  ASSERT_TRUE(outcome.result.has_value()) << summarize(outcome);
+  const std::set<FlowStage> reached = {
+      FlowStage::kUnate, FlowStage::kMap,  FlowStage::kVerifyStructure,
+      FlowStage::kLint,  FlowStage::kCsa,  FlowStage::kRace,
+      FlowStage::kProve, FlowStage::kVerifyFunction};
+  for (std::size_t i = 0; i < kFlowStageCount; ++i) {
+    const auto stage = static_cast<FlowStage>(i);
+    EXPECT_EQ(injector.hits(stage), static_cast<int>(reached.count(stage)))
+        << flow_stage_name(stage);
+  }
 }
 
 TEST(Fault, PartialResultsCapturedUpToFailure) {

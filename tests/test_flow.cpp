@@ -12,7 +12,7 @@ namespace {
 
 TEST(Flow, SoiVariantEndToEnd) {
   const FlowResult r = run_flow(testing::full_adder_network(), FlowOptions{});
-  EXPECT_TRUE(r.ok()) << r.structure.to_string() << r.function.to_string();
+  EXPECT_TRUE(r.ok()) << r.lint.to_text() << r.function.to_string();
   EXPECT_GT(r.stats.num_gates, 0);
   EXPECT_EQ(r.stats.t_total, r.stats.t_logic + r.stats.t_disch);
 }
@@ -87,7 +87,7 @@ TEST(Flow, VerificationCanBeDisabled) {
   opts.verify_rounds = 0;
   const FlowResult r = run_flow(testing::fig3_network(), opts);
   EXPECT_TRUE(r.function.ok());  // trivially: no check ran
-  EXPECT_TRUE(r.structure.ok());
+  EXPECT_TRUE(r.lint.clean(LintSeverity::kError)) << r.lint.to_text();
 }
 
 TEST(Flow, SummarizeMentionsKeyFields) {
@@ -173,7 +173,7 @@ TEST_P(FlowBenchmarkProperty, SoiFlowIsCleanAndPbeSafe) {
   FlowOptions opts;
   opts.verify_rounds = 2;
   const FlowResult r = run_flow(source, opts);
-  EXPECT_TRUE(r.ok()) << GetParam() << ": " << r.structure.to_string();
+  EXPECT_TRUE(r.ok()) << GetParam() << ": " << r.lint.to_text();
   EXPECT_EQ(r.dp_analyzer_mismatches, 0) << GetParam();
 }
 

@@ -31,7 +31,7 @@ TEST_P(EverythingOn, FlowStaysCorrect) {
   const BlifModel model = parse_blif(write_blif(source, GetParam()));
   const FlowResult r = run_flow(model, everything_on());
   ASSERT_TRUE(r.ok()) << GetParam() << ":\n"
-                      << r.structure.to_string() << r.function.to_string();
+                      << r.lint.to_text() << r.function.to_string();
 
   // The BLIF round trip reorders nothing: outputs align with the source
   // network, so exact equivalence against the original is meaningful.

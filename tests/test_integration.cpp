@@ -24,7 +24,7 @@ TEST_P(RegistryIntegration, AllFlowsCleanAndConsistent) {
     opts.variant = variant;
     opts.verify_rounds = 2;
     const FlowResult r = run_flow(source, opts);
-    ASSERT_TRUE(r.ok()) << GetParam() << ": " << r.structure.to_string()
+    ASSERT_TRUE(r.ok()) << GetParam() << ": " << r.lint.to_text()
                         << r.function.to_string();
 
     // Stats self-consistency.

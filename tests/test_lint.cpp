@@ -1,14 +1,12 @@
 /// \file test_lint.cpp
 /// The lint engine: one deliberately-corrupted netlist per rule (each must
 /// fire exactly its intended rule), report emitters (text / JSON / SARIF
-/// 2.1.0 shape), the verify_structure compatibility shim, and the
-/// paper-table circuits mapping + linting clean at every thread count.
+/// 2.1.0 shape), and the paper-table circuits mapping + linting clean.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 
@@ -19,7 +17,6 @@
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/postpass.hpp"
-#include "soidom/domino/verify.hpp"
 #include "soidom/lint/lint.hpp"
 #include "soidom/network/builder.hpp"
 
@@ -151,18 +148,9 @@ bool json_well_formed(const std::string& text) {
 
 // --- fixture helpers -------------------------------------------------------
 
-/// Number of error-severity findings carrying `rule`.
-int errors_with_rule(const LintReport& report, const std::string& rule) {
-  int n = 0;
-  for (const Finding& f : report.findings) {
-    if (f.severity == LintSeverity::kError && f.rule == rule) ++n;
-  }
-  return n;
-}
-
 /// Asserts the report's error findings all carry `rule` (at least one).
 void expect_only_error_rule(const LintReport& report, const std::string& rule) {
-  EXPECT_GT(errors_with_rule(report, rule), 0) << report.to_text();
+  EXPECT_GT(testing::errors_with_rule(report, rule), 0) << report.to_text();
   for (const Finding& f : report.findings) {
     if (f.severity == LintSeverity::kError) {
       EXPECT_EQ(f.rule, rule) << f.to_string();
@@ -206,38 +194,6 @@ TEST(Lint, CleanNetlistLintsClean) {
   EXPECT_EQ(report.summary(), "clean");
   EXPECT_GE(report.rules.size(), 13u);  // the full built-in catalogue ran
   EXPECT_EQ(report.to_text(), "lint: clean\n");
-}
-
-TEST(Lint, DisabledRulesAreSkipped) {
-  DominoNetlist nl = simple_netlist(1, true);
-  nl.gates()[0].footed = false;  // footedness violation
-  LintOptions options;
-  EXPECT_FALSE(run_lint(nl, options).clean());
-  options.disabled_rules = {"footedness"};
-  const LintReport report = run_lint(nl, options);
-  EXPECT_TRUE(report.clean()) << report.to_text();
-  for (const LintRuleInfo& info : report.rules) {
-    EXPECT_NE(info.id, "footedness");  // not even in the rules table
-  }
-}
-
-TEST(Lint, CustomRuleGetsIdBackfilled) {
-  class AlwaysFires final : public LintRule {
-   public:
-    const char* id() const override { return "custom-rule"; }
-    const char* summary() const override { return "always fires"; }
-    bool needs_sound() const override { return false; }
-    void run(const LintContext&, std::vector<Finding>& out) const override {
-      Finding f;
-      f.message = "hello";
-      out.push_back(std::move(f));  // rule id left empty on purpose
-    }
-  };
-  LintRegistry registry;
-  registry.add(std::make_unique<AlwaysFires>());
-  const LintReport report = run_lint(registry, simple_netlist(1, true));
-  ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "custom-rule");
 }
 
 // --- one corrupted fixture per rule ----------------------------------------
@@ -936,46 +892,13 @@ TEST(LintWaivers, QualifiedWaiverLeavesOtherLocationsLive) {
   LintOptions options;
   options.waivers = {"footedness@gate0"};
   const LintReport report = run_lint(nl, options);
-  EXPECT_EQ(errors_with_rule(report, "footedness"), 2);  // both still reported
-  EXPECT_EQ(report.count(LintSeverity::kError), 1);      // one counts
+  // Both are still reported; one counts.
+  EXPECT_EQ(testing::errors_with_rule(report, "footedness"), 2);
+  EXPECT_EQ(report.count(LintSeverity::kError), 1);
   EXPECT_FALSE(report.clean());
   int waived = 0;
   for (const Finding& f : report.findings) waived += f.waived ? 1 : 0;
   EXPECT_EQ(waived, 1);
-}
-
-// --- verify_structure compatibility shim -----------------------------------
-
-TEST(LintCompat, VerifyStructureRoutesThroughFindings) {
-  DominoNetlist nl;
-  const std::uint32_t a = nl.add_input({"a", 0, false});
-  DominoGate g;
-  g.pdn.set_root(g.pdn.add_series({g.pdn.add_leaf(a), g.pdn.add_leaf(1)}));
-  g.footed = true;
-  nl.add_gate(std::move(g));
-  nl.add_output({nl.signal_of_gate(0), "z", false, -1});
-  const VerifyReport report =
-      verify_structure(nl, GroundingPolicy::kFootlessGrounded);
-  ASSERT_FALSE(report.ok());
-  // Problems are Finding-formatted: severity[rule] location: message.
-  EXPECT_NE(report.to_string().find("error[topo-order] gate 0:"),
-            std::string::npos)
-      << report.to_string();
-  EXPECT_NE(report.to_string().find("topologically"), std::string::npos);
-}
-
-TEST(LintCompat, VerifyStructureKeepsHistoricalScope) {
-  // The stricter lint-stage rules (here: input-phase's provenance check)
-  // must NOT fail the historical entry point.
-  DominoNetlist nl;
-  (void)nl.add_input({"a", -1, false});
-  DominoGate g;
-  g.pdn.set_root(g.pdn.add_leaf(0));
-  g.footed = true;
-  nl.add_gate(std::move(g));
-  nl.add_output({nl.signal_of_gate(0), "z", false, -1});
-  EXPECT_TRUE(verify_structure(nl, GroundingPolicy::kAllGrounded).ok());
-  EXPECT_FALSE(run_lint(nl).clean());
 }
 
 // --- flow integration ------------------------------------------------------
@@ -1021,7 +944,6 @@ TEST(LintFlow, PaperTableCircuitsMapAndLintClean) {
     const FlowResult r = run_flow(build_benchmark(name), options);
     EXPECT_TRUE(r.lint.clean(LintSeverity::kError))
         << name << "\n" << r.lint.to_text();
-    EXPECT_TRUE(r.structure.ok()) << name;
   }
 }
 

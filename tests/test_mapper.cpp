@@ -15,6 +15,7 @@
 #include "soidom/domino/serialize.hpp"
 #include "soidom/domino/stats.hpp"
 #include "soidom/domino/verify.hpp"
+#include "soidom/lint/lint.hpp"
 #include "soidom/mapper/mapper.hpp"
 #include "soidom/sim/sim.hpp"
 #include "soidom/unate/unate.hpp"
@@ -39,9 +40,11 @@ void map_and_check(const Network& source, const MapperOptions& opts,
   if (opts.engine == MappingEngine::kDominoMap) {
     insert_discharges(result.netlist, opts.grounding, opts.pending_model);
   }
-  const VerifyReport structure =
-      verify_structure(result.netlist, opts.grounding, opts.pending_model);
-  EXPECT_TRUE(structure.ok()) << structure.to_string();
+  LintOptions lint_options;
+  lint_options.grounding = opts.grounding;
+  lint_options.pending_model = opts.pending_model;
+  const LintReport lint = run_lint(result.netlist, lint_options);
+  EXPECT_EQ(lint.count(LintSeverity::kError), 0) << lint.to_text();
   Rng rng(0xC0FFEE);
   const VerifyReport function =
       verify_function(result.netlist, source, 8, rng);

@@ -7,6 +7,7 @@
 #include "soidom/domino/postpass.hpp"
 #include "soidom/domino/stats.hpp"
 #include "soidom/domino/verify.hpp"
+#include "soidom/lint/lint.hpp"
 #include "soidom/mapper/mapper.hpp"
 #include "soidom/unate/unate.hpp"
 
@@ -61,9 +62,11 @@ TEST_P(MapperOptionSweep, FullPipelineInvariants) {
       insert_discharges(result.netlist, p.grounding, p.model);
     }
 
-    const VerifyReport structure =
-        verify_structure(result.netlist, p.grounding, p.model);
-    EXPECT_TRUE(structure.ok()) << structure.to_string();
+    LintOptions lint_options;
+    lint_options.grounding = p.grounding;
+    lint_options.pending_model = p.model;
+    const LintReport lint = run_lint(result.netlist, lint_options);
+    EXPECT_EQ(lint.count(LintSeverity::kError), 0) << lint.to_text();
     Rng rng(seed ^ 0xFACE);
     const VerifyReport function =
         verify_function(result.netlist, source, 4, rng);

@@ -181,7 +181,7 @@ TEST(SeqAware, PrunedNetlistsRemainSafeInSimulator) {
     opts.mapper.grounding = GroundingPolicy::kNoneGrounded;
     opts.sequence_aware = true;
     const FlowResult flow = run_flow(source, opts);
-    EXPECT_TRUE(flow.ok()) << circuit << ": " << flow.structure.to_string();
+    EXPECT_TRUE(flow.ok()) << circuit << ": " << flow.lint.to_text();
 
     SoiSimulator sim(flow.netlist);
     Rng rng(0xABCDEF);
@@ -204,7 +204,7 @@ TEST(SeqAware, FlowReportsPrunedCount) {
   const FlowResult r0 = run_flow(source, base);
   const FlowResult r1 = run_flow(source, pruned);
   EXPECT_TRUE(r0.ok());
-  EXPECT_TRUE(r1.ok()) << r1.structure.to_string();
+  EXPECT_TRUE(r1.ok()) << r1.lint.to_text();
   EXPECT_EQ(r0.discharges_pruned, 0);
   EXPECT_GE(r1.discharges_pruned, 0);
   EXPECT_EQ(r1.stats.t_disch, r0.stats.t_disch - r1.discharges_pruned);
@@ -224,13 +224,13 @@ TEST(SeqAware, VerifyAcceptsPrunedOnlyWithFlag) {
   prune_unexcitable_discharges(nl);
 
   // Pessimistic model flags the pruned points ...
-  const VerifyReport strict = verify_structure(
-      nl, GroundingPolicy::kAllGrounded, PendingModel::kCoherent, false);
+  LintOptions options;
+  const LintReport strict = run_lint(nl, options);
   // ... but only when they were actually required by the model; accept
   // either way under the flag.
-  const VerifyReport lenient = verify_structure(
-      nl, GroundingPolicy::kAllGrounded, PendingModel::kCoherent, true);
-  EXPECT_TRUE(lenient.ok()) << lenient.to_string();
+  options.allow_unexcitable_unprotected = true;
+  const LintReport lenient = run_lint(nl, options);
+  EXPECT_EQ(lenient.count(LintSeverity::kError), 0) << lenient.to_text();
   (void)strict;
 }
 

@@ -191,7 +191,8 @@ def main():
     report = os.path.join(args.workdir, "soak_report.json")
     serve_manifest = os.path.join(args.workdir, "serve_soak.manifest.json")
     batch_manifest = os.path.join(args.workdir, "batch_ref.manifest.json")
-    for path in (spill, report, serve_manifest, batch_manifest):
+    batch_journal = os.path.join(args.workdir, "batch_ref.jsonl")
+    for path in (spill, report, serve_manifest, batch_manifest, batch_journal):
         if os.path.exists(path):
             os.remove(path)
 
@@ -270,7 +271,7 @@ def main():
     log("phase 4: offline soidom_batch reference run")
     r = subprocess.run(
         [args.batch, "--circuits=" + ",".join(CIRCUITS),
-         "--manifest=" + batch_manifest],
+         "--journal=" + batch_journal, "--manifest=" + batch_manifest],
         stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT)
     if r.returncode != 0:
         fail("offline soidom_batch reference exited %d" % r.returncode)
