@@ -17,19 +17,13 @@
 ///   --lint-sarif=FILE write the lint report as SARIF 2.1.0
 ///   --csa-sarif=FILE  write the csa findings as SARIF 2.1.0 (and run csa)
 ///   --race-sarif=FILE write the race findings as SARIF 2.1.0 (and run race)
-///   --batch[=a,b,c]   run the asic flow over the named benchmark
-///                     circuits (bare --batch: every paper-table circuit)
-///                     with per-attempt deadline + retry ladder + run
-///                     journal (src/batch; see docs/BATCH.md)
 ///
-/// It takes the batch-run group of soidom/batch/flags.hpp, which nests the
-/// job and flow groups.  The batch-run and job flags need --batch: without
-/// it the first of them is an error ("--timeout-ms needs --batch", exit
-/// 64) rather than silently ignored.
-/// Its defaults: --flow=soi --seq-aware --exact, --journal=asic_flow.jsonl,
-/// --manifest=asic_flow.manifest.json.  --prove prints each proof record:
+/// It takes the flow group of soidom/batch/flags.hpp, with the defaults
+/// --flow=soi --seq-aware --exact.  --prove prints each proof record:
 /// confirmed (witness), refuted (downgraded to info, with a certificate)
-/// or unknown (node budget hit).
+/// or unknown (node budget hit).  To run this flow over many circuits
+/// under deadlines, retries and a journal, use soidom_batch --seq-aware
+/// --exact (docs/BATCH.md).
 ///
 /// All artifact files are written atomically (write-temp-fsync-rename),
 /// so a crash or SIGKILL never leaves a truncated .sp/.v/SARIF on disk.
@@ -38,18 +32,15 @@
 ///
 /// Exit codes (docs/ERRORS.md): 0 success, 2 parse error, 3 mapping
 /// infeasible, 4 verification mismatch, 5 deadline/budget, 64 bad
-/// options, 1 internal error; batch mode adds 6 (aborted), 7 (jobs
-/// failed/quarantined), 130/143 (signal).
+/// options, 1 internal error.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/batch/flags.hpp"
 #include "soidom/batch/signals.hpp"
-#include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/export.hpp"
 #include "soidom/sizing/sizing.hpp"
@@ -94,58 +85,12 @@ const char* kDefaultBlif = R"(
 .end
 )";
 
-/// The batch counterpart of the single-circuit flow below: same flow
-/// options, many circuits, resilient outer loop.
-int run_batch_mode(const std::vector<std::string>& circuits,
-                   BatchOptions options) {
-  std::vector<BatchJob> jobs;
-  for (const std::string& name :
-       circuits.empty() ? paper_table_circuits() : circuits) {
-    jobs.push_back(BatchJob{name, ""});
-  }
-
-  BatchHooks hooks;
-  hooks.on_job_done = [](const JobOutcome& out) {
-    const JobRecord& r = out.record;
-    std::printf("[batch]     %-12s %-11s attempts=%d ladder=%s %s\n",
-                r.job.c_str(), job_status_name(r.status), r.attempts,
-                r.ladder.c_str(),
-                r.status == JobStatus::kOk ? r.summary.c_str()
-                                           : r.message.c_str());
-    std::fflush(stdout);
-  };
-
-  BatchResult result;
-  try {
-    result = run_batch(jobs, options, hooks);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 64;
-  }
-  std::printf("[batch]     %zu jobs  ok=%d failed=%d quarantined=%d "
-              "resumed=%d\n",
-              result.jobs.size(), result.ok, result.failed,
-              result.quarantined, result.resumed);
-  if (result.interrupted_by_signal != 0) {
-    std::fprintf(stderr, "[batch]     interrupted by signal %d; rerun with "
-                         "--resume\n",
-                 result.interrupted_by_signal);
-    return signal_exit_code(result.interrupted_by_signal);
-  }
-  if (result.aborted.has_value()) {
-    std::fprintf(stderr, "[batch]     aborted: %s\n",
-                 result.aborted->to_string().c_str());
-    return 6;
-  }
-  return (result.failed == 0 && result.quarantined == 0) ? 0 : 7;
-}
-
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [flags] [circuit.blif]\n"
                "  [--diag-json] [--lint] [--lint-sarif=FILE] [--csa-sarif=FILE]\n"
-               "  [--race-sarif=FILE] [--batch[=a,b,c]]\n%s%s%s",
-               argv0, kBatchRunFlagsUsage, kJobFlagsUsage, kFlowFlagsUsage);
+               "  [--race-sarif=FILE]\n%s",
+               argv0, kFlowFlagsUsage);
   std::exit(64);
 }
 
@@ -154,12 +99,7 @@ int run_batch_mode(const std::vector<std::string>& circuits,
 int main(int argc, char** argv) {
   bool diag_json = false;
   bool want_lint = false;
-  bool batch_mode = false;
-  std::vector<std::string> batch_circuits;
-  BatchOptions batch;
-  batch.journal_path = "asic_flow.jsonl";
-  batch.manifest_path = "asic_flow.manifest.json";
-  FlowOptions& options = batch.flow;
+  FlowOptions options;
   options.variant = FlowVariant::kSoiDominoMap;
   options.sequence_aware = true;
   options.exact_equivalence = true;
@@ -167,15 +107,10 @@ int main(int argc, char** argv) {
   std::string csa_sarif_path;
   std::string race_sarif_path;
   std::string path;
-  std::string batch_flag;  // the first job or batch-run flag given
   try {
     for (int i = 1; i < argc; ++i) {
       const Flag flag(argv[i]);
       if (parse_flow_flag(flag, options)) continue;
-      if (parse_batch_run_flag(flag, batch)) {
-        if (batch_flag.empty()) batch_flag = flag.name();
-        continue;
-      }
       if (flag.is("--diag-json")) {
         diag_json = true;
       } else if (flag.is("--lint")) {
@@ -188,14 +123,6 @@ int main(int argc, char** argv) {
       } else if (flag.has("--race-sarif")) {
         options.race = true;
         race_sarif_path = flag.value();
-      } else if (flag.is("--batch")) {
-        batch_mode = true;
-      } else if (flag.has("--batch")) {
-        batch_mode = true;
-        batch_circuits.clear();
-        for (const std::string_view name : split(flag.value(), ",")) {
-          batch_circuits.emplace_back(name);
-        }
       } else if (starts_with(argv[i], "--")) {
         usage(argv[0]);
       } else {
@@ -206,13 +133,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 64;
   }
-  if (!batch_mode && !batch_flag.empty()) {
-    std::fprintf(stderr, "error: %s needs --batch\n", batch_flag.c_str());
-    return 64;
-  }
 
   install_signal_cancel();
-  if (batch_mode) return run_batch_mode(batch_circuits, batch);
 
   auto report = [&](const Diagnostic& d) {
     if (diag_json) {

@@ -1,9 +1,10 @@
-/// Crash-safe batch front end: map a fleet of circuits with per-attempt
+/// The batch front end: map a fleet of circuits with per-attempt
 /// deadlines, a retry/degradation ladder, optional subprocess isolation,
 /// and a resumable run journal.  Each job runs on one thread, --jobs of
-/// them at a time.  This is the outer loop the paper's
-/// Table 1/2 sweeps (and any large mapping campaign) need: one hanging
-/// or crashing circuit no longer loses the run.
+/// them at a time.  This is the outer loop the paper's Table I-IV sweeps
+/// (and any large mapping campaign) need: one hanging or crashing
+/// circuit no longer loses the run.  `--seq-aware --exact` runs
+/// asic_flow's mapping options over the same circuits.
 ///
 ///   build/examples/soidom_batch [flags] [circuit.blif ...]
 ///
@@ -19,10 +20,11 @@
 /// It takes the batch-run group of soidom/batch/flags.hpp, which nests the
 /// job and flow groups.  Its defaults: --backoff-ms=50,
 /// --journal=soidom_batch.jsonl, --manifest=soidom_batch.manifest.json.
-/// The retry ladder shrinks the csa state enumeration and drops the race
-/// clock windows before relaxing other limits (docs/CSA.md,
-/// docs/RACE.md); proof verdict counts ride the journal and manifest
-/// byte-identically across --resume (docs/PROVE.md).
+/// The retry ladder shrinks the csa state enumeration before relaxing
+/// the shape limits (docs/CSA.md); a verification failure, such as an
+/// analyzer fail-on gate, is final and never retried.  Proof verdict
+/// counts ride the journal and manifest byte-identically across
+/// --resume and --isolate (docs/PROVE.md).
 ///
 /// Exit codes (docs/ERRORS.md): 0 all jobs ok (or terminal with
 /// --allow-failures), 7 some jobs failed/quarantined, 6 batch aborted
@@ -97,16 +99,7 @@ int main(int argc, char** argv) {
 
   BatchHooks hooks;
   hooks.on_job_done = [](const JobOutcome& out) {
-    const JobRecord& r = out.record;
-    if (r.status == JobStatus::kOk) {
-      std::printf("%-12s ok       attempts=%d ladder=%s  %s\n", r.job.c_str(),
-                  r.attempts, r.ladder.c_str(), r.summary.c_str());
-    } else {
-      std::printf("%-12s %-8s attempts=%d ladder=%s  %s: %s: %s\n",
-                  r.job.c_str(), job_status_name(r.status), r.attempts,
-                  r.ladder.c_str(), r.stage.c_str(), r.code.c_str(),
-                  r.message.c_str());
-    }
+    std::printf("%s\n", job_record_line(out.record).c_str());
     std::fflush(stdout);
   };
 

@@ -193,17 +193,10 @@ int run_submit(int argc, char** argv) {
       records[r.record.job] = r.record;
       if (r.record.status == JobStatus::kOk) {
         ++ok;
-        std::printf("%-12s ok       attempts=%d ladder=%s  %s\n",
-                    r.record.job.c_str(), r.record.attempts,
-                    r.record.ladder.c_str(), r.record.summary.c_str());
       } else {
         ++failed;
-        std::printf("%-12s %-8s attempts=%d ladder=%s  %s: %s: %s\n",
-                    r.record.job.c_str(), job_status_name(r.record.status),
-                    r.record.attempts, r.record.ladder.c_str(),
-                    r.record.stage.c_str(), r.record.code.c_str(),
-                    r.record.message.c_str());
       }
+      std::printf("%s\n", job_record_line(r.record).c_str());
     } else {
       ++rejected;
       std::printf("%-12s rejected %s: %s: %s\n", r.id.c_str(),

@@ -7,7 +7,7 @@
 /// the CLIs print it as one "error: ..." line and exit 64
 /// (docs/ERRORS.md).
 ///
-/// Flow flags fill FlowOptions (blif2domino; kFlowFlagsUsage):
+/// Flow flags fill FlowOptions (blif2domino, asic_flow; kFlowFlagsUsage):
 ///   --flow=domino|rs|soi     mapping flow
 ///   --objective=area|depth   cost objective
 ///   --wmax=N --hmax=N        pulldown shape limits
@@ -44,7 +44,7 @@
 ///   --inject=N/D@SEED        seeded per-(job,attempt) fault injection
 ///
 /// Batch-run flags fill BatchOptions; any other entry goes on to the job
-/// flags (soidom_batch, asic_flow; kBatchRunFlagsUsage):
+/// flags (soidom_batch; kBatchRunFlagsUsage):
 ///   --jobs=N                 jobs in flight (0 = hardware threads)
 ///   --isolate                fork each attempt into a subprocess
 ///   --journal=FILE           JSONL run journal

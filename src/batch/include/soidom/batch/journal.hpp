@@ -141,6 +141,11 @@ std::string job_record_fields_json(const JobRecord& r);
 /// false when the mandatory job/status fields are missing or invalid.
 bool parse_job_record_fields(std::string_view line, JobRecord* out);
 
+/// The one-line text form the CLIs print per finished job (no newline):
+/// "<job> ok attempts=N ladder=STEP  <summary>" when ok, else
+/// "<job> <status> attempts=N ladder=STEP  <stage>: <code>: <message>".
+std::string job_record_line(const JobRecord& r);
+
 /// Render the deterministic merged manifest for `records` (sorted by
 /// job key; "ms" excluded).
 std::string manifest_json(const std::map<std::string, JobRecord>& records);

@@ -15,7 +15,10 @@
 ///  * retries   — failed attempts back off exponentially with seeded,
 ///    deterministic jitter and walk an explicit degradation ladder
 ///    (drop exact BDD equivalence -> shrink verify rounds -> shrink the
-///    csa / race analyses -> relax Wmax/Hmax), every step recorded;
+///    csa state enumeration -> relax Wmax/Hmax), every step recorded.
+///    Verdicts are final: a parse error, bad options or a verification
+///    failure (a failed equivalence check or analyzer gate) ends the job
+///    at the attempt that produced it;
 ///  * isolation — opt-in: each attempt forks into a subprocess, so a
 ///    segfault or runaway loop is contained and the job quarantined
 ///    instead of killing the batch;
@@ -23,6 +26,10 @@
 ///    crash-safe JSONL journal (journal.hpp); --resume skips completed
 ///    jobs and the merged manifest is byte-identical to an
 ///    uninterrupted run.
+///
+/// examples/soidom_batch is its command-line front end, and the mapping
+/// service (serve/server.hpp) runs each map request through it as a
+/// one-job batch.
 ///
 /// Determinism: job outcomes never depend on scheduling.  Backoff
 /// jitter and fault-injection streams are seeded per (job, attempt),
@@ -67,9 +74,6 @@ enum class LadderStep : std::uint8_t {
   kShrinkVerify,  ///< verify_rounds clamped to 2
   kShrinkCsa,     ///< csa_options.max_states clamped to 256 (the CSA
                   ///< bound degrades to its truncation fallback sooner)
-  kShrinkRace,    ///< race_options windows unconstrained (t_eval/t_pre
-                  ///< = 0: the structural race rules still run, the
-                  ///< window-dependent ones are dropped)
   kRelaxLimits,   ///< Wmax/Hmax doubled (capped at 64), like the
                   ///< guarded flow's infeasible-limit retry
 };
@@ -102,7 +106,6 @@ struct BatchOptions {
   bool isolate = false;        ///< fork each attempt into a subprocess
   std::string journal_path;    ///< empty: no journal, no resume
   bool resume = false;         ///< skip jobs with terminal records
-  bool journal_durable = true; ///< fsync per journal append
   std::string manifest_path;   ///< empty: no manifest written
   BatchFaultPlan fault;
 };

@@ -61,6 +61,16 @@ bool parse_job_record_fields(std::string_view line, JobRecord* out) {
   return true;
 }
 
+std::string job_record_line(const JobRecord& r) {
+  if (r.status == JobStatus::kOk) {
+    return format("%-12s ok       attempts=%d ladder=%s  %s", r.job.c_str(),
+                  r.attempts, r.ladder.c_str(), r.summary.c_str());
+  }
+  return format("%-12s %-8s attempts=%d ladder=%s  %s: %s: %s", r.job.c_str(),
+                job_status_name(r.status), r.attempts, r.ladder.c_str(),
+                r.stage.c_str(), r.code.c_str(), r.message.c_str());
+}
+
 const char* job_status_name(JobStatus status) {
   switch (status) {
     case JobStatus::kOk: return "ok";
@@ -174,7 +184,9 @@ std::string manifest_json(const std::map<std::string, JobRecord>& records) {
       case JobStatus::kQuarantined: ++quarantined; break;
     }
     if (!jobs.empty()) jobs += ",\n  ";
-    jobs += "{" + job_record_fields_json(r) + "}";
+    jobs += '{';
+    jobs += job_record_fields_json(r);
+    jobs += '}';
   }
   const std::string body =
       jobs.empty() ? "[]" : format("[\n  %s\n]", jobs.c_str());

@@ -19,9 +19,9 @@
 namespace soidom {
 namespace {
 
-using batch_detail::AttemptOutcome;
 using batch_detail::execute_attempt_inprocess;
 using batch_detail::execute_attempt_isolated;
+using batch_detail::failed_record;
 using batch_detail::mix_seed;
 using SteadyClock = std::chrono::steady_clock;
 
@@ -45,9 +45,14 @@ bool quarantine_class(ErrorCode code) {
   }
 }
 
-/// Failures no ladder step can fix: don't burn retries on them.
+/// Failures no ladder step can fix: don't burn retries on them.  A
+/// verification failure is a verdict on the circuit (a failed
+/// equivalence check or an analyzer fail-on gate); rerunning with
+/// weaker checks could only hide it.
 bool retryable(ErrorCode code) {
-  return code != ErrorCode::kParseError && code != ErrorCode::kInvalidOptions;
+  return code != ErrorCode::kParseError &&
+         code != ErrorCode::kInvalidOptions &&
+         code != ErrorCode::kVerificationFailed;
 }
 
 /// Deterministically jittered exponential backoff, interruptible by a
@@ -110,7 +115,6 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
                  const BatchHooks& hooks, SharedJournal& journal,
                  JobOutcome& out) {
   const auto job_start = SteadyClock::now();
-  JobRecord& rec = out.record;
 
   for (int attempt = 1; attempt <= options.retry.max_attempts; ++attempt) {
     if (signal_received() != 0 || journal.aborted()) return;
@@ -123,7 +127,7 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
     const FlowOptions effective = apply_ladder(options.flow, step);
     const auto attempt_start = SteadyClock::now();
 
-    AttemptOutcome ao;
+    JobRecord rec;
     try {
       SOIDOM_FAULT_PROBE(FlowStage::kBatchWatchdog);
 
@@ -137,74 +141,49 @@ void run_one_job(const BatchJob& job, const BatchOptions& options,
       }
       if (options.isolate) {
         SOIDOM_FAULT_PROBE(FlowStage::kBatchSpawn);
-        ao = execute_attempt_isolated(job, effective, gopts, options.fault,
-                                      attempt, hooks, options.job_timeout_ms);
+        rec = execute_attempt_isolated(job, effective, gopts, options.fault,
+                                       attempt, hooks, options.job_timeout_ms);
       } else {
-        ao = execute_attempt_inprocess(job, effective, gopts, options.fault,
-                                       attempt, hooks);
+        rec = execute_attempt_inprocess(job, effective, gopts, options.fault,
+                                        attempt, hooks);
       }
     } catch (const GuardError& e) {
       // An injected kBatchWatchdog / kBatchSpawn probe: a synthetic
       // crash-class attempt failure, eligible for retry.
-      ao.ok = false;
-      ao.diagnostic = e.to_diagnostic();
+      rec = failed_record(e.to_diagnostic());
     }
+    rec.job = job.name;
+    rec.attempts = attempt;
+    rec.ladder = ladder_step_name(step);
 
     AttemptRecord ar;
     ar.attempt = attempt;
-    ar.ladder = ladder_step_name(step);
-    ar.ok = ao.ok;
-    ar.diagnostic = ao.diagnostic;
+    ar.ladder = rec.ladder;
+    ar.ok = rec.status == JobStatus::kOk;
+    if (!ar.ok) {
+      ar.diagnostic = Diagnostic{
+          error_code_from_name(rec.code).value_or(ErrorCode::kInternal),
+          flow_stage_from_name(rec.stage).value_or(FlowStage::kNone),
+          rec.message,
+          {}};
+    }
     ar.ms = elapsed_ms(attempt_start);
     const bool journal_ok =
         journal.append([&](RunJournal& j) { j.append_attempt(job.name, ar); });
     out.attempts.push_back(ar);
     if (!journal_ok) return;  // batch aborting; no terminal record
 
-    if (ao.ok) {
-      rec.status = JobStatus::kOk;
-      rec.attempts = attempt;
-      rec.ladder = ar.ladder;
-      rec.summary = ao.summary;
-      rec.lint_errors = ao.lint_errors;
-      rec.lint_warnings = ao.lint_warnings;
-      rec.analyzer_errors = ao.analyzer_errors;
-      rec.analyzer_warnings = ao.analyzer_warnings;
-      rec.prove_confirmed = ao.prove_confirmed;
-      rec.prove_refuted = ao.prove_refuted;
-      rec.prove_unknown = ao.prove_unknown;
-      rec.ms = elapsed_ms(job_start);
-      if (journal.append([&](RunJournal& j) { j.append_done(rec); })) {
-        out.terminal = true;
-      }
-      return;
+    if (!ar.ok) {
+      // An interrupted job must NOT reach a terminal record, so it
+      // reruns on --resume.
+      if (signal_received() != 0) return;
+      const ErrorCode code = ar.diagnostic->code;
+      if (retryable(code) && attempt < options.retry.max_attempts) continue;
+      if (quarantine_class(code)) rec.status = JobStatus::kQuarantined;
     }
-
-    // An interrupted job must NOT reach a terminal record, so it reruns
-    // on --resume.
-    if (signal_received() != 0) return;
-
-    const Diagnostic diag = ao.diagnostic.value_or(Diagnostic{
-        ErrorCode::kInternal, FlowStage::kNone, "attempt failed", {}});
-    if (retryable(diag.code) && attempt < options.retry.max_attempts) {
-      continue;
-    }
-    rec.status = retryable(diag.code) && quarantine_class(diag.code)
-                     ? JobStatus::kQuarantined
-                     : JobStatus::kFailed;
-    rec.attempts = attempt;
-    rec.ladder = ar.ladder;
-    // Proof verdicts survive into failed records: a confirmed finding is
-    // usually the reason the gate failed, and a refutation count of zero
-    // vs "prove never ran" matters for triage.
-    rec.prove_confirmed = ao.prove_confirmed;
-    rec.prove_refuted = ao.prove_refuted;
-    rec.prove_unknown = ao.prove_unknown;
-    rec.code = error_code_name(diag.code);
-    rec.stage = flow_stage_name(diag.stage);
-    rec.message = diag.message;
     rec.ms = elapsed_ms(job_start);
-    if (journal.append([&](RunJournal& j) { j.append_done(rec); })) {
+    out.record = std::move(rec);
+    if (journal.append([&](RunJournal& j) { j.append_done(out.record); })) {
       out.terminal = true;
     }
     return;
@@ -219,7 +198,6 @@ const char* ladder_step_name(LadderStep step) {
     case LadderStep::kDropExact: return "drop_exact";
     case LadderStep::kShrinkVerify: return "shrink_verify";
     case LadderStep::kShrinkCsa: return "shrink_csa";
-    case LadderStep::kShrinkRace: return "shrink_race";
     case LadderStep::kRelaxLimits: return "relax_limits";
   }
   return "unknown";
@@ -231,7 +209,6 @@ LadderStep ladder_step_for_attempt(int attempt) {
     case 2: return LadderStep::kDropExact;
     case 3: return LadderStep::kShrinkVerify;
     case 4: return LadderStep::kShrinkCsa;
-    case 5: return LadderStep::kShrinkRace;
     default: return LadderStep::kRelaxLimits;
   }
 }
@@ -245,10 +222,6 @@ FlowOptions apply_ladder(const FlowOptions& base, LadderStep step) {
   if (step >= LadderStep::kShrinkCsa) {
     effective.csa_options.max_states =
         std::min(effective.csa_options.max_states, 256L);
-  }
-  if (step >= LadderStep::kShrinkRace) {
-    effective.race_options.t_eval = 0.0;
-    effective.race_options.t_pre = 0.0;
   }
   if (step >= LadderStep::kRelaxLimits) {
     effective.mapper.max_width =
@@ -304,7 +277,7 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
   SharedJournal shared;
   if (!options.journal_path.empty()) {
     try {
-      shared.journal.emplace(options.journal_path, options.journal_durable);
+      shared.journal.emplace(options.journal_path);
       shared.journal->append_header(jobs.size(), options.isolate,
                                     options.retry.max_attempts);
     } catch (const Error& e) {

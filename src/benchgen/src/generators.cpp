@@ -19,12 +19,18 @@ NodeId mux2(NetworkBuilder& b, NodeId sel, NodeId when1, NodeId when0) {
   return b.add_or(b.add_and(sel, when1), b.add_and(b.add_inv(sel), when0));
 }
 
+/// A PI or output name: `prefix` followed by the decimal `index`.
+template <typename Index>
+std::string indexed(const char* prefix, Index index) {
+  std::string out = prefix;
+  out += std::to_string(index);
+  return out;
+}
+
 std::vector<NodeId> add_pis(NetworkBuilder& b, const char* prefix, int n) {
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.push_back(b.add_pi(std::string(prefix) + std::to_string(i)));
-  }
+  for (int i = 0; i < n; ++i) out.push_back(b.add_pi(indexed(prefix, i)));
   return out;
 }
 
@@ -74,7 +80,7 @@ Network gen_ripple_adder(int bits, bool with_cin) {
   NodeId cout;
   const auto sum = ripple_sum(b, x, y, cin, cout);
   for (std::size_t i = 0; i < sum.size(); ++i) {
-    b.add_output(sum[i], "s" + std::to_string(i));
+    b.add_output(sum[i], indexed("s", i));
   }
   b.add_output(cout, "cout");
   return remove_dead_nodes(std::move(b).build());
@@ -89,7 +95,7 @@ Network gen_incrementer(int bits) {
   NodeId all_ones = b.const1();
   for (int i = 0; i < bits; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    b.add_output(xor2(b, x[idx], carry), "n" + std::to_string(i));
+    b.add_output(xor2(b, x[idx], carry), indexed("n", i));
     carry = b.add_and(x[idx], carry);
     all_ones = b.add_and(all_ones, x[idx]);
   }
@@ -153,7 +159,7 @@ Network gen_xor_tree(int inputs, int outputs, int subset,
       if (terms.size() % 2 == 1) next.push_back(terms.back());
       terms = std::move(next);
     }
-    b.add_output(terms.front(), "p" + std::to_string(o));
+    b.add_output(terms.front(), indexed("p", o));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -168,8 +174,7 @@ Network gen_priority(int inputs) {
   for (int i = 0; i < inputs; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     const NodeId eligible = b.add_and(req[idx], mask[idx]);
-    b.add_output(b.add_and(eligible, b.add_inv(taken)),
-                 "g" + std::to_string(i));
+    b.add_output(b.add_and(eligible, b.add_inv(taken)), indexed("g", i));
     taken = b.add_or(taken, eligible);
     any = b.add_or(any, req[idx]);
   }
@@ -196,7 +201,7 @@ Network gen_barrel_rotator(int width, int select_bits) {
     layer = std::move(next);
   }
   for (int i = 0; i < width; ++i) {
-    b.add_output(layer[static_cast<std::size_t>(i)], "y" + std::to_string(i));
+    b.add_output(layer[static_cast<std::size_t>(i)], indexed("y", i));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -245,7 +250,7 @@ Network gen_spn(int width, int rounds, std::uint64_t seed) {
     state = std::move(next);
   }
   for (std::size_t i = 0; i < state.size(); ++i) {
-    b.add_output(state[i], "y" + std::to_string(i));
+    b.add_output(state[i], indexed("y", i));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -271,7 +276,7 @@ Network gen_alu_like(int bits, std::uint64_t seed) {
     const NodeId lo = mux2(b, op0, land, sum[idx]);
     const NodeId hi = mux2(b, op0, lxor, lor);
     const NodeId out = mux2(b, op1, hi, lo);
-    b.add_output(out, "f" + std::to_string(i));
+    b.add_output(out, indexed("f", i));
     zero = b.add_and(zero, b.add_inv(out));
   }
   b.add_output(cout, "cout");
@@ -318,7 +323,7 @@ Network gen_two_level(int inputs, int cubes, int outputs, int or_denom,
         f = b.add_or(f, p);
       }
     }
-    b.add_output(f, "z" + std::to_string(o));
+    b.add_output(f, indexed("z", o));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -330,7 +335,7 @@ Network gen_random_dag(int pis, int gates, int pos, std::uint64_t seed) {
   NetworkBuilder b;
   std::vector<NodeId> pool;
   for (int i = 0; i < pis; ++i) {
-    pool.push_back(b.add_pi("x" + std::to_string(i)));
+    pool.push_back(b.add_pi(indexed("x", i)));
   }
   // SIS-style structure: each "named node" is a random SOP cover over a
   // handful of earlier signals, decomposed into a single-fanout AND/OR
@@ -379,7 +384,7 @@ Network gen_random_dag(int pis, int gates, int pos, std::uint64_t seed) {
     const std::size_t lo = pool.size() / 2;
     const std::size_t pick_idx =
         lo + static_cast<std::size_t>(rng.next_below(pool.size() - lo));
-    b.add_output(pool[pick_idx], "z" + std::to_string(p));
+    b.add_output(pool[pick_idx], indexed("z", p));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -417,7 +422,7 @@ Network gen_layered_dag(int width, int depth, int back_weight,
     prev = std::move(cur);
   }
   for (std::size_t i = 0; i < prev.size(); ++i) {
-    b.add_output(prev[i], "z" + std::to_string(i));
+    b.add_output(prev[i], indexed("z", i));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -451,7 +456,7 @@ Network gen_multiplier(int bits) {
     }
   }
   for (std::size_t i = 0; i < acc.size(); ++i) {
-    b.add_output(acc[i], "p" + std::to_string(i));
+    b.add_output(acc[i], indexed("p", i));
   }
   return remove_dead_nodes(std::move(b).build());
 }
@@ -470,7 +475,7 @@ Network gen_decoder(int select_bits) {
                              : b.add_inv(sel[static_cast<std::size_t>(k)]);
       hit = b.add_and(hit, lit);
     }
-    b.add_output(hit, "o" + std::to_string(code));
+    b.add_output(hit, indexed("o", code));
   }
   return remove_dead_nodes(std::move(b).build());
 }

@@ -62,7 +62,8 @@ std::string write_blif(const Network& net, const std::string& model_name) {
     const NodeId id{i};
     const Node& n = net.node(id);
     if (n.kind == NodeKind::kPi) continue;
-    signal[i] = "n" + std::to_string(i);
+    signal[i] = "n";
+    signal[i] += std::to_string(i);
     BlifTable t;
     t.output = signal[i];
     switch (n.kind) {

@@ -10,7 +10,9 @@
 /// parsing prose.  See docs/ERRORS.md for the conventions.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "soidom/base/contracts.hpp"
@@ -59,6 +61,9 @@ inline constexpr std::size_t kFlowStageCount =
 /// Stable lower-case identifier, e.g. "verify_function".
 const char* flow_stage_name(FlowStage stage);
 
+/// Inverse of flow_stage_name; nullopt for any other text.
+std::optional<FlowStage> flow_stage_from_name(std::string_view name);
+
 /// Failure classes.  docs/ERRORS.md has the full table with CLI exit codes.
 enum class ErrorCode : std::uint8_t {
   kInternal = 0,       ///< unexpected: an invariant or foreign exception
@@ -75,8 +80,15 @@ enum class ErrorCode : std::uint8_t {
                        ///< verdict kept (prove stage, docs/PROVE.md)
 };
 
+/// Number of ErrorCode values.
+inline constexpr std::size_t kErrorCodeCount =
+    static_cast<std::size_t>(ErrorCode::kProofTimeout) + 1;
+
 /// Stable lower-case identifier, e.g. "deadline_exceeded".
 const char* error_code_name(ErrorCode code);
+
+/// Inverse of error_code_name; nullopt for any other text.
+std::optional<ErrorCode> error_code_from_name(std::string_view name);
 
 /// One structured failure (or warning) from the guarded flow.
 struct Diagnostic {

@@ -32,6 +32,14 @@ const char* flow_stage_name(FlowStage stage) {
   return "unknown";
 }
 
+std::optional<FlowStage> flow_stage_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kFlowStageCount; ++i) {
+    const auto stage = static_cast<FlowStage>(i);
+    if (name == flow_stage_name(stage)) return stage;
+  }
+  return std::nullopt;
+}
+
 const char* error_code_name(ErrorCode code) {
   switch (code) {
     case ErrorCode::kInternal: return "internal";
@@ -47,6 +55,14 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kProofTimeout: return "proof_timeout";
   }
   return "unknown";
+}
+
+std::optional<ErrorCode> error_code_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kErrorCodeCount; ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    if (name == error_code_name(code)) return code;
+  }
+  return std::nullopt;
 }
 
 std::string Diagnostic::to_string() const {
@@ -70,7 +86,9 @@ std::string Diagnostic::to_json() const {
   out += ",\"context\":[";
   for (std::size_t i = 0; i < context.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + json_escape(context[i]) + "\"";
+    out += '"';
+    out += json_escape(context[i]);
+    out += '"';
   }
   out += "]}";
   return out;

@@ -104,8 +104,11 @@ std::vector<std::uint32_t> Pdn::leaf_signals() const {
 std::string Pdn::to_string_of(PdnIndex i) const {
   const PdnNode& n = node(i);
   switch (n.kind) {
-    case PdnKind::kLeaf:
-      return "s" + std::to_string(n.signal);
+    case PdnKind::kLeaf: {
+      std::string out = "s";
+      out += std::to_string(n.signal);
+      return out;
+    }
     case PdnKind::kSeries:
     case PdnKind::kParallel: {
       const char* sep = n.kind == PdnKind::kSeries ? "." : "+";

@@ -43,7 +43,6 @@ struct ServeOptions {
   ConeCacheOptions cache;
   int max_connections = 32;  ///< concurrent client connections
   int max_in_flight = 4;     ///< concurrent map jobs (admission control)
-  int listen_backlog = 64;
 };
 
 /// Process-lifetime server counters (all responses are counted in

@@ -20,6 +20,10 @@
 namespace soidom {
 namespace {
 
+/// Pending connections the kernel queues before accept(); the admission
+/// limits (max_connections, max_in_flight) bound the work past that.
+constexpr int kListenBacklog = 64;
+
 /// Write one NDJSON line; MSG_NOSIGNAL so a vanished client surfaces as
 /// an error here instead of a process-killing SIGPIPE.
 void send_line(int fd, const std::string& line) {
@@ -312,7 +316,7 @@ ServeReport MappingServer::run() {
   ::unlink(path.c_str());  // a stale socket from a killed server is fine
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) < 0 ||
-      ::listen(listen_fd, impl_->options.listen_backlog) < 0) {
+      ::listen(listen_fd, kListenBacklog) < 0) {
     const std::string why = std::strerror(errno);
     ::close(listen_fd);
     throw Error(format("cannot listen on %s: %s", path.c_str(), why.c_str()));

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "soidom/base/rng.hpp"
+#include "soidom/base/strings.hpp"
 #include "soidom/lint/lint.hpp"
 #include "soidom/network/builder.hpp"
 #include "soidom/network/network.hpp"
@@ -77,7 +78,7 @@ inline Network random_network(int num_pis, int num_gates, int num_pos,
   NetworkBuilder b;
   std::vector<NodeId> pool;
   for (int i = 0; i < num_pis; ++i) {
-    pool.push_back(b.add_pi("x" + std::to_string(i)));
+    pool.push_back(b.add_pi(format("x%d", i)));
   }
   for (int g = 0; g < num_gates; ++g) {
     const NodeId u =
@@ -99,7 +100,7 @@ inline Network random_network(int num_pis, int num_gates, int num_pos,
     const std::size_t lo = pool.size() > 8 ? pool.size() / 2 : 0;
     const std::size_t pick =
         lo + static_cast<std::size_t>(rng.next_below(pool.size() - lo));
-    b.add_output(pool[pick], "z" + std::to_string(p));
+    b.add_output(pool[pick], format("z%d", p));
   }
   return std::move(b).build();
 }

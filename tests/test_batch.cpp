@@ -110,9 +110,8 @@ TEST(Ladder, AttemptsEscalateAndSaturate) {
   EXPECT_EQ(ladder_step_for_attempt(2), LadderStep::kDropExact);
   EXPECT_EQ(ladder_step_for_attempt(3), LadderStep::kShrinkVerify);
   EXPECT_EQ(ladder_step_for_attempt(4), LadderStep::kShrinkCsa);
-  EXPECT_EQ(ladder_step_for_attempt(5), LadderStep::kShrinkRace);
+  EXPECT_EQ(ladder_step_for_attempt(5), LadderStep::kRelaxLimits);
   EXPECT_EQ(ladder_step_for_attempt(6), LadderStep::kRelaxLimits);
-  EXPECT_EQ(ladder_step_for_attempt(7), LadderStep::kRelaxLimits);
   EXPECT_EQ(ladder_step_for_attempt(9), LadderStep::kRelaxLimits);
 }
 
@@ -147,20 +146,17 @@ TEST(Ladder, StepsAreCumulative) {
   EXPECT_EQ(csa.mapper.max_width, 5);
   EXPECT_EQ(csa.race_options.t_eval, 20.0);
 
-  const FlowOptions race = apply_ladder(base, LadderStep::kShrinkRace);
-  EXPECT_EQ(race.csa_options.max_states, 256);
-  EXPECT_EQ(race.race_options.t_eval, 0.0);  // windows unconstrained
-  EXPECT_EQ(race.race_options.t_pre, 0.0);
-  EXPECT_EQ(race.mapper.max_width, 5);
-
   const FlowOptions relax = apply_ladder(base, LadderStep::kRelaxLimits);
   EXPECT_FALSE(relax.exact_equivalence);
   EXPECT_EQ(relax.verify_rounds, 2);
   EXPECT_EQ(relax.mapper.max_width, 10);
   EXPECT_EQ(relax.mapper.max_height, 16);
   EXPECT_EQ(relax.csa_options.max_states, 256);
-  EXPECT_EQ(relax.race_options.t_eval, 0.0);
-  EXPECT_EQ(relax.race_options.t_pre, 0.0);
+  // No step touches the race windows a job's verdict is judged by.
+  for (const FlowOptions& step : {full, drop, shrink, csa, relax}) {
+    EXPECT_EQ(step.race_options.t_eval, 20.0);
+    EXPECT_EQ(step.race_options.t_pre, 5.0);
+  }
 }
 
 TEST(Ladder, RelaxLimitsCapsAt64) {
@@ -200,11 +196,31 @@ TEST(Journal, LoadToleratesTornTrailingLineAndForeignRecords) {
 
 TEST(Journal, ChecksummedRecordsRoundTripAndCarrySchema) {
   const std::string path = temp_path("crc.jsonl");
+  // Every field set, with tabs, newlines and quotes in the text: the
+  // record codec (journal, manifest, isolate pipe, serve wire) must
+  // carry them all unchanged.
   JobRecord done;
   done.job = "a";
   done.status = JobStatus::kOk;
-  done.attempts = 1;
-  done.summary = "gates=3";
+  done.attempts = 2;
+  done.ladder = "drop_exact";
+  done.summary = "gates=7 T_total=42\tstructure=\"ok\"";
+  done.lint_errors = 2;
+  done.lint_warnings = 3;
+  done.analyzer_errors = 4;
+  done.analyzer_warnings = 5;
+  done.prove_confirmed = 6;
+  done.prove_refuted = 7;
+  done.prove_unknown = 8;
+  JobRecord failed;
+  failed.job = "b";
+  failed.status = JobStatus::kQuarantined;
+  failed.attempts = 3;
+  failed.ladder = "shrink_verify";
+  failed.code = "deadline_exceeded";
+  failed.stage = "batch_watchdog";
+  failed.message = "job exceeded 10 ms\nkilled";
+  failed.prove_confirmed = 9;
   {
     RunJournal journal(path, /*durable=*/false);
     journal.append_header(1, false, 3);
@@ -212,13 +228,19 @@ TEST(Journal, ChecksummedRecordsRoundTripAndCarrySchema) {
     attempt.ok = true;
     journal.append_attempt("a", attempt);
     journal.append_done(done);
+    journal.append_done(failed);
   }
   const JournalLoad loaded = load_journal_checked(path);
   EXPECT_EQ(loaded.schema, kJournalSchema);
   EXPECT_EQ(loaded.corrupt_records, 0);
   EXPECT_TRUE(loaded.warnings.empty());
-  ASSERT_EQ(loaded.records.size(), 1u);
-  EXPECT_EQ(loaded.records.at("a").summary, "gates=3");
+  ASSERT_EQ(loaded.records.size(), 2u);
+  EXPECT_EQ(loaded.records.at("a").summary, done.summary);
+  EXPECT_EQ(job_record_fields_json(loaded.records.at("a")),
+            job_record_fields_json(done));
+  EXPECT_EQ(loaded.records.at("b").message, failed.message);
+  EXPECT_EQ(job_record_fields_json(loaded.records.at("b")),
+            job_record_fields_json(failed));
   // Every line written carries the integrity field.
   std::ifstream in(path);
   std::string line;
@@ -227,7 +249,7 @@ TEST(Journal, ChecksummedRecordsRoundTripAndCarrySchema) {
     ++lines;
     EXPECT_NE(line.find("\"crc\":\""), std::string::npos) << line;
   }
-  EXPECT_EQ(lines, 3);
+  EXPECT_EQ(lines, 4);
 }
 
 TEST(Journal, CorruptRecordIsSkippedWithStructuredWarning) {
@@ -354,55 +376,23 @@ TEST(Journal, ManifestIsSortedAndExcludesTimings) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire format (isolate child -> parent).
-
-TEST(Wire, EncodeDecodeRoundTripsOk) {
-  batch_detail::AttemptOutcome out;
-  out.ok = true;
-  out.summary = "gates=7 T_total=42\tstructure=ok";  // hostile tab
-  out.lint_errors = 2;
-  out.lint_warnings = 3;
-  out.analyzer_errors = 4;
-  out.analyzer_warnings = 5;
-  const auto decoded =
-      batch_detail::decode_attempt_outcome(
-          batch_detail::encode_attempt_outcome(out));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->ok);
-  EXPECT_EQ(decoded->summary, out.summary);
-  EXPECT_EQ(decoded->lint_errors, 2);
-  EXPECT_EQ(decoded->lint_warnings, 3);
-  EXPECT_EQ(decoded->analyzer_errors, 4);
-  EXPECT_EQ(decoded->analyzer_warnings, 5);
-}
-
-TEST(Wire, EncodeDecodeRoundTripsError) {
-  batch_detail::AttemptOutcome out;
-  out.ok = false;
-  out.diagnostic = Diagnostic{ErrorCode::kDeadlineExceeded,
-                              FlowStage::kBatchWatchdog,
-                              "job exceeded 10 ms\nkilled", {}};
-  const auto decoded =
-      batch_detail::decode_attempt_outcome(
-          batch_detail::encode_attempt_outcome(out));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_FALSE(decoded->ok);
-  ASSERT_TRUE(decoded->diagnostic.has_value());
-  EXPECT_EQ(decoded->diagnostic->code, ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(decoded->diagnostic->stage, FlowStage::kBatchWatchdog);
-  EXPECT_EQ(decoded->diagnostic->message, "job exceeded 10 ms\nkilled");
-}
+// Wire format (isolate child -> parent): one job_record_fields_json line,
+// read back by parse_job_record_fields.
 
 TEST(Wire, GarbageLinesRejected) {
-  EXPECT_FALSE(batch_detail::decode_attempt_outcome("").has_value());
-  EXPECT_FALSE(batch_detail::decode_attempt_outcome("OK\t1").has_value());
-  // OK records need five payload fields; a legacy 3-field record is torn.
-  EXPECT_FALSE(batch_detail::decode_attempt_outcome("OK\t1\t2\ts").has_value());
-  EXPECT_FALSE(
-      batch_detail::decode_attempt_outcome("XX\ta\tb\tc").has_value());
-  EXPECT_FALSE(
-      batch_detail::decode_attempt_outcome("ERR\tnot_a_code\tmap\tm")
-          .has_value());
+  JobRecord out;
+  for (const char* line : {"",                                   // empty
+                           R"("status":"ok","attempts":1)",      // no job
+                           R"("job":"","status":"ok")",          // empty job
+                           R"("job":"z4ml","attempts":1)",       // no status
+                           R"("job":"z4ml","status":"done")",    // bad status
+                           "OK\t1\t2\ts"}) {                     // old wire
+    EXPECT_FALSE(parse_job_record_fields(line, &out)) << line;
+  }
+  ASSERT_TRUE(parse_job_record_fields(R"("job":"z4ml","status":"failed")",
+                                      &out));
+  EXPECT_EQ(out.job, "z4ml");
+  EXPECT_EQ(out.status, JobStatus::kFailed);
 }
 
 TEST(Wire, MixSeedDistinguishesJobsAndAttempts) {
@@ -411,6 +401,10 @@ TEST(Wire, MixSeedDistinguishesJobsAndAttempts) {
   EXPECT_NE(mix_seed(7, "z4ml", 1), mix_seed(7, "z4ml", 2));
   EXPECT_NE(mix_seed(7, "z4ml", 1), mix_seed(7, "cm150", 1));
   EXPECT_NE(mix_seed(7, "z4ml", 1), mix_seed(8, "z4ml", 1));
+  // Pinned: every --inject stream and backoff schedule derives from it.
+  EXPECT_EQ(mix_seed(7, "z4ml", 1), 0xf64746d7db078763ull);
+  EXPECT_EQ(mix_seed(0xB0FF, "c3540", 4), 0x9b0b62213a4514edull);
+  EXPECT_EQ(mix_seed(0, "", 0), 0x552d3fb62b3c344full);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +456,27 @@ TEST(Batch, UnknownCircuitFailsWithoutBurningRetries) {
   EXPECT_EQ(result.jobs[0].record.status, JobStatus::kFailed);
   EXPECT_EQ(result.jobs[0].record.attempts, 1);  // parse errors don't retry
   EXPECT_EQ(result.jobs[0].record.code, "parse_error");
+}
+
+/// A verification failure is a verdict: the job fails at the attempt
+/// that found it, with no retry to a weaker ladder step.  Here z4ml's
+/// race findings under a 0.5 evaluate window fail the race gate.
+TEST(Batch, VerificationFailureIsFinal) {
+  BatchOptions options = fast_options();
+  options.retry.max_attempts = 5;
+  options.flow.race = true;
+  options.flow.race_options.t_eval = 0.5;
+  options.flow.race_fail_on = LintSeverity::kWarning;
+  const BatchResult result = run_batch(registry_jobs({"z4ml"}), options);
+  EXPECT_EQ(result.failed, 1);
+  const JobOutcome& out = result.jobs[0];
+  ASSERT_TRUE(out.terminal);
+  EXPECT_EQ(out.record.status, JobStatus::kFailed);
+  EXPECT_EQ(out.record.attempts, 1);
+  EXPECT_EQ(out.record.ladder, "full");
+  EXPECT_EQ(out.record.code, "verification_failed");
+  EXPECT_EQ(out.record.stage, "race");
+  EXPECT_EQ(out.attempts.size(), 1u);
 }
 
 TEST(Batch, DuplicateJobNamesRejected) {

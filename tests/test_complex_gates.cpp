@@ -22,7 +22,7 @@ Network wide_or_network(int width) {
   NetworkBuilder b;
   std::vector<NodeId> layer;
   for (int i = 0; i < width; ++i) {
-    layer.push_back(b.add_pi("x" + std::to_string(i)));
+    layer.push_back(b.add_pi(format("x%d", i)));
   }
   while (layer.size() > 1) {
     std::vector<NodeId> next;

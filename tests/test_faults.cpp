@@ -546,6 +546,32 @@ TEST(Diagnostic, CliExitCodes) {
   EXPECT_EQ(code_for(ErrorCode::kInternal), 1);
 }
 
+/// error_code_from_name / flow_stage_from_name invert the name functions
+/// over every value, the last ones included, and reject any other text.
+TEST(Diagnostic, NamesDecodeBackToEveryValue) {
+  for (std::size_t i = 0; i < kErrorCodeCount; ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    EXPECT_EQ(error_code_from_name(error_code_name(code)), code)
+        << error_code_name(code);
+  }
+  for (std::size_t i = 0; i < kFlowStageCount; ++i) {
+    const auto stage = static_cast<FlowStage>(i);
+    EXPECT_EQ(flow_stage_from_name(flow_stage_name(stage)), stage)
+        << flow_stage_name(stage);
+  }
+  // The counts end at the last named value.
+  EXPECT_EQ(error_code_from_name("proof_timeout"), ErrorCode::kProofTimeout);
+  EXPECT_STREQ(error_code_name(static_cast<ErrorCode>(kErrorCodeCount)),
+               "unknown");
+  EXPECT_EQ(flow_stage_from_name("serve_drain"), FlowStage::kServeDrain);
+  EXPECT_STREQ(flow_stage_name(static_cast<FlowStage>(kFlowStageCount)),
+               "unknown");
+  for (const char* text : {"", "unknown", "Parse", "parse_error ", "map\n"}) {
+    EXPECT_FALSE(error_code_from_name(text).has_value()) << text;
+    EXPECT_FALSE(flow_stage_from_name(text).has_value()) << text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch-stage probes (src/batch): a journal-write fault aborts the batch
 // with correct attribution; spawn/watchdog faults are crash-class attempt

@@ -164,7 +164,7 @@ DominoNetlist simple_netlist(int leaves, bool series) {
   DominoNetlist nl;
   std::vector<std::uint32_t> sigs;
   for (int i = 0; i < leaves; ++i) {
-    sigs.push_back(nl.add_input({"x" + std::to_string(i), i, false}));
+    sigs.push_back(nl.add_input({format("x%d", i), i, false}));
   }
   DominoGate g;
   std::vector<PdnIndex> kids;

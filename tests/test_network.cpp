@@ -26,7 +26,7 @@ TEST(Builder, StructuralHashingMergesDuplicates) {
   // Thousands of distinct nodes grow the hash table several times; each
   // one must still be found afterwards, under either operand order.
   std::vector<NodeId> pis{x, y};
-  while (pis.size() < 60) pis.push_back(b.add_pi("p" + std::to_string(pis.size())));
+  while (pis.size() < 60) pis.push_back(b.add_pi(format("p%zu", pis.size())));
   struct Made {
     NodeId lhs, rhs, and_id, or_id, inv_and, inv_or;
   };

@@ -493,5 +493,51 @@ TEST(ProveBatch, ResumeManifestByteIdenticalWithProofCounts) {
   EXPECT_EQ(read_file(options.manifest_path), manifest);
 }
 
+/// b9 and x1 fail the csa gate at margin 0.05; their proof counts are why,
+/// so the failed records carry them, and an isolated child ships the same
+/// record over its pipe as the in-process attempt produces.
+TEST(ProveBatch, FailedRecordsKeepProofCountsInIsolation) {
+  const std::string stem = ::testing::TempDir() + "/soidom_prove_iso_" +
+                           std::to_string(::getpid());
+  BatchOptions options;
+  options.flow = prove_flow(0.05);
+  options.retry.backoff_base_ms = 0;
+  options.manifest_path = stem + ".inproc.json";
+  const std::vector<BatchJob> jobs = {BatchJob{"b9", ""}, BatchJob{"x1", ""}};
+  const BatchResult inproc = run_batch(jobs, options);
+  options.isolate = true;
+  options.manifest_path = stem + ".isolate.json";
+  const BatchResult isolated = run_batch(jobs, options);
+
+  const int expected[2][3] = {{30, 2, 0}, {63, 8, 6}};
+  for (const BatchResult* result : {&inproc, &isolated}) {
+    ASSERT_TRUE(result->complete());
+    EXPECT_EQ(result->failed, 2);
+    for (int i = 0; i < 2; ++i) {
+      const JobRecord& r = result->jobs[i].record;
+      SCOPED_TRACE(r.job);
+      EXPECT_EQ(r.status, JobStatus::kFailed);
+      EXPECT_EQ(r.stage, "csa");
+      EXPECT_EQ(r.prove_confirmed, expected[i][0]);
+      EXPECT_EQ(r.prove_refuted, expected[i][1]);
+      EXPECT_EQ(r.prove_unknown, expected[i][2]);
+    }
+  }
+  EXPECT_EQ(read_file(stem + ".isolate.json"),
+            read_file(stem + ".inproc.json"));
+
+  // A strict node budget fails b9 with proof_timeout, the last ErrorCode:
+  // an isolated attempt reports it as it is, not as an unreadable child.
+  options.flow.prove_options.node_budget = 4;
+  options.flow.prove_options.fail_on_budget = true;
+  for (const bool isolate : {false, true}) {
+    options.isolate = isolate;
+    const BatchResult strict = run_batch({BatchJob{"b9", ""}}, options);
+    ASSERT_EQ(strict.failed, 1) << isolate;
+    EXPECT_EQ(strict.jobs[0].record.code, "proof_timeout") << isolate;
+    EXPECT_EQ(strict.jobs[0].record.stage, "prove") << isolate;
+  }
+}
+
 }  // namespace
 }  // namespace soidom
